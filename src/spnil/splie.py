@@ -72,12 +72,18 @@ class MatF:
         return MatF([[c * a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
+        # row i of the product is sum_k a_ik * (row k of other); zero entries
+        # on either side contribute nothing and are skipped
         self._check(other)
-        n = self.size
-        cols = list(zip(*other.entries))
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
-            out.append([sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols])
+            acc = [_ZERO] * self.size
+            for a, nonzero in zip(row, right):
+                if a:
+                    for j, b in nonzero:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return MatF(out)
 
     def transpose(self):
@@ -178,8 +184,16 @@ def bracket(a, b, strict=False):
 
 
 def trace_pair(a, b):
+    """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product."""
     a._check(b)
-    return (a @ b).trace()
+    total = _ZERO
+    for i, row in enumerate(a.entries):
+        for j, v in enumerate(row):
+            if v:
+                w = b.entries[j][i]
+                if w:
+                    total = total + v * w
+    return total
 
 
 def raw_square(v):

@@ -8,7 +8,7 @@ plus one per coordinate of i, all in degree 1.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -199,6 +199,17 @@ def theta1_kills_minors(n):
     return all(g.subst(images).is_zero() for g in gens)
 
 
+def _flat(m):
+    """Entries of a matrix, row by row."""
+    return [v for row in m.entries for v in row]
+
+
+def _ad_flat(y, n):
+    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
+    cols = [_flat(bracket(b, y)) for b in sp_basis(n)]
+    return [list(row) for row in zip(*cols)]
+
+
 def unipotent_factors(n, rng, count=None):
     """Random unipotent symplectic factors (I + t e_root, inverse I - t e_root)."""
     datum = RootDatumC(n)
@@ -239,12 +250,8 @@ def sample_xnil_point(lam, seed=0):
         y = g @ y @ ginv
         vec = g.apply(vec)
 
-    basis = sp_basis(n)
-    cols = [[v for row in bracket(b, y).entries for v in row] for b in basis]
-    rows = len(cols[0])
-    mat = [[cols[k][r] for k in range(len(basis))] for r in range(rows)]
-    rhs = [v for row in (-raw_square(vec)).entries for v in row]
-    sol = linalg.solve(mat, rhs)
+    mat = _ad_flat(y, n)
+    sol = linalg.solve(mat, _flat(-raw_square(vec)))
     if sol is None:
         raise RuntimeError("moment equation unexpectedly unsolvable")
     for z in linalg.nullspace(mat):
@@ -310,13 +317,54 @@ def _pairing(t1, t2):
 
 
 def _isotropic(vectors, n):
-    """True when _pairing vanishes on every pair of the flat vectors."""
-    parts = [_split(v, n) for v in vectors]
+    """True when _pairing vanishes on every pair of the flat vectors.
+
+    On flat (x, y, i) coordinates _pairing is the sum of
+    c (v1[p] v2[q] - v1[q] v2[p]) over the entries (p, q, c) of the form:
+    the trace-form Gram matrix of sp_basis(n) between the x and y parts,
+    where each basis element has exactly one nonzero partner, and -2 omega
+    on the i part.
+    """
+    nn = sp_dim(n)
+    basis = sp_basis(n)
+    form = [
+        (k, nn + l, g)
+        for k, a in enumerate(basis)
+        for l, b in enumerate(basis)
+        if (g := trace_pair(a, b))
+    ]
+    form += [(2 * nn + a, 2 * nn + n + a, FieldScalar(-2)) for a in range(n)]
+
+    def pair(v, w):
+        total = _ZERO
+        for p, q, c in form:
+            s = v[p] * w[q] - v[q] * w[p]
+            if s:
+                total = total + c * s
+        return total
+
     return not any(
-        _pairing(parts[p], parts[q])
-        for p in range(len(parts))
-        for q in range(p + 1, len(parts))
+        pair(vectors[p], vectors[q])
+        for p in range(len(vectors))
+        for q in range(p + 1, len(vectors))
     )
+
+
+@lru_cache(maxsize=1)
+def _jacobian_at(point):
+    """Ambient dimension and exact Jacobian of I plus NIL at a point (with i
+    a tuple, so it hashes), which must satisfy every defining equation.
+
+    lagrangian_check and stratum_tangent_check both need it, and the CLI runs
+    them on the same point one after the other, so the last point is kept.
+    """
+    registry, gens, grads = _nil_system(point.n)
+    values = point_coordinates(point)
+    for g in gens:
+        if g.eval(values):
+            raise ValueError("point does not satisfy the defining equations")
+    jac = tuple(tuple(cell.eval(values) for cell in row) for row in grads)
+    return len(registry), jac
 
 
 def lagrangian_check(point):
@@ -326,17 +374,11 @@ def lagrangian_check(point):
     Zariski tangent space) and whether _pairing vanishes on that kernel.
     """
     n = point.n
-    registry, gens, grads = _nil_system(n)
-    values = point_coordinates(point)
-    for g in gens:
-        if g.eval(values):
-            raise ValueError("point does not satisfy the defining equations")
-    jac = [[cell.eval(values) for cell in row] for row in grads]
-    rank = linalg.dense_rank(jac)
-    ambient = len(registry)
+    ambient, jac = _jacobian_at(replace(point, i=tuple(point.i)))
     kernel = linalg.nullspace(jac)
     isotropic = _isotropic(kernel, n)
-    tangent = ambient - rank
+    tangent = len(kernel)
+    rank = ambient - tangent
     return TangentReport(
         jacobian_rank=rank,
         tangent_dim=tangent,
@@ -392,27 +434,36 @@ def stratum_tangent_check(point):
     of the moment map for the strata to pair to zero.
     """
     n = point.n
+    _, jac = _jacobian_at(replace(point, i=tuple(point.i)))
+    frame = _stratum_frame(point)
+    inside = not any(
+        sum((c * v for c, v in zip(row, vec) if c and v), _ZERO)
+        for vec in frame
+        for row in jac
+    )
+    return StratumReport(
+        frame_rank=linalg.dense_rank(frame),
+        inside_kernel=inside,
+        isotropic=_isotropic(frame, n),
+    )
+
+
+def _stratum_frame(point):
+    """The flat tangent frame of stratum_tangent_check at point."""
+    n = point.n
     nn = sp_dim(n)
-    registry, gens, grads = _nil_system(n)
-    values = point_coordinates(point)
-    for g in gens:
-        if g.eval(values):
-            raise ValueError("point does not satisfy the defining equations")
-    jac = [[cell.eval(values) for cell in row] for row in grads]
-    basis = sp_basis(n)
     zeros_g = [_ZERO] * nn
     zeros_v = [_ZERO] * (2 * n)
 
     frame = []
     ivec = list(point.i)
-    for a in basis:
+    for a in sp_basis(n):
         frame.append(
             coords_of(bracket(a, point.x), n)
             + coords_of(bracket(a, point.y), n)
             + a.apply(ivec)
         )
-    cols = [[v for row in bracket(b, point.y).entries for v in row] for b in basis]
-    admat = [[cols[k][r] for k in range(nn)] for r in range(len(cols[0]))]
+    admat = _ad_flat(point.y, n)
     for z in linalg.nullspace(admat):
         frame.append(list(z) + zeros_g + zeros_v)
     for u in positive_weight_space(point.y):
@@ -421,27 +472,11 @@ def stratum_tangent_check(point):
             - raw_square(ivec)
             - raw_square(u)
         )
-        rhs = [v for row in (-polar).entries for v in row]
-        sol = linalg.solve(admat, rhs)
+        sol = linalg.solve(admat, _flat(-polar))
         if sol is None:
             raise RuntimeError("vector move unexpectedly unsolvable")
         frame.append(list(sol) + zeros_g + list(u))
-
-    inside = True
-    for vec in frame:
-        for row in jac:
-            if sum((c * v for c, v in zip(row, vec)), _ZERO):
-                inside = False
-                break
-        if not inside:
-            break
-
-    isotropic = _isotropic(frame, n)
-    return StratumReport(
-        frame_rank=linalg.dense_rank(frame),
-        inside_kernel=inside,
-        isotropic=isotropic,
-    )
+    return frame
 
 
 def embedding_pullback_check(n):

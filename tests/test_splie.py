@@ -110,12 +110,52 @@ def test_dual_basis_trace_duality():
 
 def test_coords_round_trip():
     rng = random.Random(503)
-    for n in (1, 2):
+    for n in range(1, 5):
         for _ in range(5):
             m = rand_sp(rng, n)
             coeffs = coords_of(m, n)
             assert len(coeffs) == sp_dim(n)
             assert mat_from_coords(coeffs, n).entries == m.entries
+
+
+def rand_scalar(rng):
+    return fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+              Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def naive_product(a, b):
+    size = a.size
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(size)), ZERO)
+             for j in range(size)]
+            for i in range(size)]
+
+
+def test_products_and_trace_pairing_match_naive_sums():
+    # a @ b and trace_pair skip zero factors; the naive triple sum does not
+    rng = random.Random(506)
+    for n in range(1, 5):
+        size = 2 * n
+        basis = sp_basis(n)
+        for density in (0.1, 0.5, 1.0):
+
+            def rand_any():
+                return MatF([[rand_scalar(rng) if rng.random() < density else 0
+                              for _ in range(size)] for _ in range(size)])
+
+            def rand_sp_sqrt2():
+                m = MatF.zero(size)
+                for b in basis:
+                    if rng.random() < density:
+                        m = m + b.scale(rand_scalar(rng))
+                return m
+
+            for make in (rand_any, rand_sp_sqrt2):
+                for _ in range(3):
+                    a, b = make(), make()
+                    want = naive_product(a, b)
+                    assert [list(row) for row in (a @ b).entries] == want
+                    assert trace_pair(a, b) == sum(
+                        (want[i][i] for i in range(size)), ZERO)
 
 
 def test_raw_square_basic_example():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from spnil.field import FieldScalar, fs
-from spnil.linalg import dense_rank
+from spnil.linalg import dense_rank, nullspace
 from spnil.orbits import census, nilpotent_rep, partitions_spn
 from spnil.splie import (
     MatF,
@@ -20,7 +20,11 @@ from spnil.splie import (
 )
 from spnil.varieties import (
     SchemePoint,
+    _isotropic,
+    _jacobian_at,
     _pairing,
+    _split,
+    _stratum_frame,
     embedding_pullback_check,
     full_registry,
     hilbert_compare,
@@ -240,6 +244,35 @@ def test_stratum_frame_is_half_dimensional_and_isotropic():
             assert rep.isotropic is True
             if by_type[lam].is_component:
                 assert rep.frame_rank == 2 * n * n + 2 * n
+
+
+def test_flat_isotropy_matches_pairing_oracle():
+    # _isotropic pairs flat vectors through the Gram matrix of sp_basis;
+    # _pairing over _split rebuilds the matrices and is the reference
+    def oracle(vectors, n):
+        parts = [_split(v, n) for v in vectors]
+        return not any(_pairing(parts[p], parts[q])
+                       for p in range(len(parts))
+                       for q in range(p + 1, len(parts)))
+
+    flipped = 0
+    for n in (1, 2):
+        nn = sp_dim(n)
+        for lam in partitions_spn(n):
+            for seed in (0, 1):
+                pt = sample_xnil_point(lam, seed=seed)
+                kernel = nullspace(_jacobian_at(pt)[1])
+                frame = _stratum_frame(pt)
+                assert _isotropic(kernel, n) is oracle(kernel, n) is False
+                assert _isotropic(frame, n) is oracle(frame, n) is True
+                # doubling the i part scales the omega term by four and
+                # leaves the trace terms alone
+                rescaled = [v[:2 * nn] + [c * 2 for c in v[2 * nn:]]
+                            for v in frame]
+                answer = _isotropic(rescaled, n)
+                assert answer is oracle(rescaled, n)
+                flipped += answer is False
+    assert flipped > 0
 
 
 def test_positive_weight_space_dimensions_match_census():
