@@ -6,6 +6,8 @@ FieldScalar coefficients.  Monomial comparisons use graded lexicographic
 order: compare total degree first, then the exponent tuple lexicographically.
 """
 
+from operator import add
+
 from .field import FieldScalar, ONE
 
 _ZERO = FieldScalar(0)
@@ -123,7 +125,7 @@ class MultiPoly:
         acc = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 s = acc.get(exp)
                 p = c1 * c2
                 s = p if s is None else s + p

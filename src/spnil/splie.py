@@ -163,11 +163,20 @@ def omega(u, v):
 
 
 def is_sp(m):
-    n2 = m.size
-    if n2 % 2:
+    """m^T J + J m = 0, read entrywise: J m must be symmetric, and row i of
+    J m is row i + n of m for i < n, minus row i - n for i >= n.  In blocks
+    ((A, B), (C, D)) that says B and C are symmetric and D = -A^T."""
+    if m.size % 2:
         return False
-    j = omega_matrix(n2 // 2)
-    return (m.transpose() @ j + j @ m).is_zero()
+    n = m.size // 2
+    e = m.entries
+    for i in range(n):
+        for j in range(n):
+            if e[n + i][n + j] != -e[j][i]:
+                return False
+            if j > i and (e[i][n + j] != e[j][n + i] or e[n + i][j] != e[n + j][i]):
+                return False
+    return True
 
 
 def require_sp(m):

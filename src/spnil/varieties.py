@@ -91,6 +91,16 @@ def _pm_trace(a, registry):
     return t
 
 
+def _pm_pair(a, b, registry):
+    """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product."""
+    t = MultiPoly.zero(registry)
+    for i, row in enumerate(a):
+        for j, p in enumerate(row):
+            if not p.is_zero() and not b[j][i].is_zero():
+                t = t + p * b[j][i]
+    return t
+
+
 def _raw_square_symbolic(registry, offset, n):
     size = 2 * n
     u = [MultiPoly.variable(registry, offset + a) for a in range(size)]
@@ -111,12 +121,18 @@ def _minors2(m, registry):
 
 def _char_coeffs(m, registry, size):
     """Elementary symmetric functions e_1..e_size of a polynomial matrix,
-    via traces of powers and Newton's identities."""
-    powers = m
-    traces = []
-    for _ in range(size):
-        traces.append(_pm_trace(powers, registry))
-        powers = _pm_mul(powers, m, registry)
+    via traces of powers and Newton's identities.
+
+    Only the powers m, m^2, ..., m^h with h = ceil(size/2) are formed; for
+    k > h, tr(m^k) is the trace pairing of m^h with m^(k-h).
+    """
+    h = (size + 1) // 2
+    powers = [m]
+    for _ in range(h - 1):
+        powers.append(_pm_mul(powers[-1], m, registry))
+    traces = [_pm_trace(p, registry) for p in powers]
+    for k in range(h + 1, size + 1):
+        traces.append(_pm_pair(powers[h - 1], powers[k - h - 1], registry))
     es = [MultiPoly.constant(registry, 1)]
     for k in range(1, size + 1):
         acc = MultiPoly.zero(registry)
@@ -224,6 +240,15 @@ def unipotent_factors(n, rng, count=None):
     return factors
 
 
+@lru_cache(maxsize=None)
+def _rep_and_positive_slots(lam):
+    """Canonical representative of type lam and the coordinates of V on
+    which the diagonal h of its sl2 triple is positive."""
+    e = nilpotent_rep(lam)
+    h = sl2_complete(e).h
+    return e, tuple(i for i in range(e.size) if h.entries[i][i].sign() > 0)
+
+
 def sample_xnil_point(lam, seed=0):
     """Seeded exact point of the nilpotent subscheme over the orbit of lam.
 
@@ -234,12 +259,10 @@ def sample_xnil_point(lam, seed=0):
     lam = tuple(sorted(lam, reverse=True))
     n = sum(lam) // 2
     rng = random.Random(seed)
-    e = nilpotent_rep(lam)
-    triple = sl2_complete(e)
+    e, pos_slots = _rep_and_positive_slots(lam)
 
     y = e
     vec = [_ZERO] * (2 * n)
-    pos_slots = [i for i in range(2 * n) if triple.h.entries[i][i].sign() > 0]
     if pos_slots:
         coeffs = [rng.randint(-2, 2) for _ in pos_slots]
         if all(c == 0 for c in coeffs):

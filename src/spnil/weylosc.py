@@ -11,12 +11,30 @@ which x_i acts by multiplication and y_i as d/dx_i.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 
 from .field import FieldScalar, ONE, HALF
 from .poly import MultiPoly
-from .splie import RootDatumC, ad_matrix, require_sp
+from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
+
+
+@lru_cache(maxsize=None)
+def _exchange(b, c):
+    """Normal ordering of y^b x^c for exponent tuples b, c: the terms
+    (x-exponents, y-exponents, weight) of
+    prod_i sum_k k! C(b_i,k) C(c_i,k) x_i^(c_i-k) y_i^(b_i-k),
+    with weight None standing for 1."""
+    partial = [((), (), 1)]
+    for bi, ci in zip(b, c):
+        opts = [(k, factorial(k) * comb(bi, k) * comb(ci, k)) for k in range(min(bi, ci) + 1)]
+        partial = [
+            (xs + (ci - k,), ys + (bi - k,), w * wk)
+            for xs, ys, w in partial
+            for k, wk in opts
+        ]
+    return tuple((xs, ys, None if w == 1 else FieldScalar(w)) for xs, ys, w in partial)
 
 
 class WeylElement:
@@ -113,36 +131,23 @@ class WeylElement:
         if isinstance(other, (int, FieldScalar)):
             return self.scale(other)
         self._check(other)
-        n = self.n
         acc = {}
         for (a, b), c1 in self.terms.items():
             for (cc, d), c2 in other.terms.items():
                 base = c1 * c2
-                # exchange y^b with x^cc one index at a time
-                partial = [((), (), 1)]
-                for i in range(n):
-                    bi, ci = b[i], cc[i]
-                    opts = [
-                        (k, factorial(k) * comb(bi, k) * comb(ci, k))
-                        for k in range(min(bi, ci) + 1)
-                    ]
-                    partial = [
-                        (xs + (ci - k,), ys + (bi - k,), w * wk)
-                        for xs, ys, w in partial
-                        for k, wk in opts
-                    ]
-                for xs, ys, w in partial:
-                    xe = tuple(ai + xi for ai, xi in zip(a, xs))
-                    ye = tuple(yi + di for yi, di in zip(ys, d))
-                    key = (xe, ye)
+                for xs, ys, w in _exchange(b, cc):
+                    key = (tuple(map(add, a, xs)), tuple(map(add, ys, d)))
+                    p = base if w is None else base * w
                     s = acc.get(key)
-                    p = base * w
                     s = p if s is None else s + p
                     if s:
                         acc[key] = s
                     elif key in acc:
                         del acc[key]
-        return WeylElement(n, acc)
+        out = WeylElement.__new__(WeylElement)
+        out.n = self.n
+        out.terms = acc
+        return out
 
     __rmul__ = __mul__
 
@@ -299,16 +304,7 @@ class LinearVectorField:
     def commutator(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        a, b = self.mat, other.mat
-        size = len(a)
-        ab = [[sum((a[i][k] * b[k][j] for k in range(size)), _ZERO)
-               for j in range(size)] for i in range(size)]
-        ba = [[sum((b[i][k] * a[k][j] for k in range(size)), _ZERO)
-               for j in range(size)] for i in range(size)]
-        return LinearVectorField(
-            self.n,
-            [[ab[i][j] - ba[i][j] for j in range(size)] for i in range(size)],
-        )
+        return LinearVectorField(self.n, bracket(MatF(self.mat), MatF(other.mat)).entries)
 
     def apply(self, p):
         """Act as a derivation on a polynomial in the sp coordinate registry."""

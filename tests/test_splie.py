@@ -158,6 +158,34 @@ def test_products_and_trace_pairing_match_naive_sums():
                         (want[i][i] for i in range(size)), ZERO)
 
 
+def test_is_sp_matches_the_j_matrix_definition():
+    # is_sp reads J m entrywise; the oracle forms m^T J + J m
+    rng = random.Random(507)
+    kept = rejected = 0
+    for n in (1, 2, 3):
+        size = 2 * n
+        j = omega_matrix(n)
+        basis = sp_basis(n)
+        for _ in range(20):
+            m = MatF.zero(size)
+            for b in basis:
+                m = m + b.scale(rand_scalar(rng))
+            candidates = [m]
+            for bump in (fs(rng.choice((-2, -1, 1, 2))), SQRT2):
+                rows = [list(row) for row in m.entries]
+                rows[rng.randrange(size)][rng.randrange(size)] += bump
+                candidates.append(MatF(rows))
+            candidates.append(MatF([[rand_scalar(rng) for _ in range(size)]
+                                    for _ in range(size)]))
+            for c in candidates:
+                want = (c.transpose() @ j + j @ c).is_zero()
+                assert is_sp(c) is want
+                kept += want
+                rejected += not want
+    assert kept > 60 and rejected > 60
+    assert not is_sp(MatF.zero(3))
+
+
 def test_raw_square_basic_example():
     # v = (1, 0) gives v v^T J = E_12 for n = 1
     m = raw_square([1, 0])

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
 from spnil.field import FieldScalar, fs
+from spnil.poly import MultiPoly
 from spnil.linalg import dense_rank, nullspace
-from spnil.orbits import census, nilpotent_rep, partitions_spn
+from spnil.orbits import census, nilpotent_rep, partitions_spn, sl2_complete
 from spnil.splie import (
     MatF,
     bracket,
+    coords_of,
     is_nilpotent,
     omega,
     omega_matrix,
@@ -20,7 +24,10 @@ from spnil.splie import (
 )
 from spnil.varieties import (
     SchemePoint,
+    _char_coeffs,
+    _generic,
     _isotropic,
+    _rep_and_positive_slots,
     _jacobian_at,
     _pairing,
     _split,
@@ -147,6 +154,28 @@ def test_sampled_points_are_deterministic_per_seed():
     for lam in [(2,), (4,), (2, 2)]:
         assert sample_xnil_point(lam, seed=3) == sample_xnil_point(lam, seed=3)
         assert sample_xnil_point(lam, seed=3) != sample_xnil_point(lam, seed=4)
+
+
+def test_sampling_completes_one_sl2_triple_per_jordan_type(monkeypatch):
+    import spnil.varieties as varieties
+
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return sl2_complete(e)
+
+    monkeypatch.setattr(varieties, "sl2_complete", counted)
+    _rep_and_positive_slots.cache_clear()
+    try:
+        types = partitions_spn(2)
+        first = [sample_xnil_point(lam, seed=s) for lam in types for s in range(3)]
+        assert len(calls) == len(types)
+        _rep_and_positive_slots.cache_clear()
+        assert [sample_xnil_point(lam, seed=s) for lam in types for s in range(3)] == first
+        assert len(calls) == 2 * len(types)
+    finally:
+        _rep_and_positive_slots.cache_clear()
 
 
 def test_lagrangian_check_at_origin():
@@ -305,6 +334,69 @@ def test_odd_characteristic_coefficients_vanish():
     assert odd_char_coeffs_vanish(1)
     assert odd_char_coeffs_vanish(2)
     assert odd_char_coeffs_vanish(3)
+
+
+def all_powers_char_coeffs(m, registry, size):
+    """e_1..e_size from the traces of every power m^1..m^size (Newton)."""
+    zero = MultiPoly.zero(registry)
+    powers, traces = m, []
+    for _ in range(size):
+        traces.append(sum((powers[i][i] for i in range(size)), zero))
+        powers = [[sum((powers[i][k] * m[k][j] for k in range(size)), zero)
+                   for j in range(size)] for i in range(size)]
+    es = [MultiPoly.constant(registry, 1)]
+    for k in range(1, size + 1):
+        acc = zero
+        for i in range(1, k + 1):
+            term = es[k - i] * traces[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        es.append(acc.scale(Fraction(1, k)))
+    return es[1:]
+
+
+def faddeev_leverrier(a):
+    """e_1..e_size of a numeric matrix: e_k = (-1)^k c_(size-k) in
+    det(t - a) = sum c_j t^j, from M_k = a M_(k-1) + c_(size-k+1) I."""
+    size = a.size
+    ident = MatF.identity(size)
+    mk, c, es = MatF.zero(size), fs(1), []
+    for k in range(1, size + 1):
+        mk = a @ mk + ident.scale(c)
+        c = -(a @ mk).trace() * fs(Fraction(1, k))
+        es.append(c if k % 2 == 0 else -c)
+    return es
+
+
+def test_char_coeffs_match_all_powers_oracle():
+    # generic square matrices of every size up to 4 (odd coefficients
+    # nonzero, odd sizes included) and generic sp(2n) for n = 1, 2
+    for size in range(1, 5):
+        registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
+        m = [[MultiPoly.variable(registry, size * i + j) for j in range(size)]
+             for i in range(size)]
+        assert _char_coeffs(m, registry, size) == all_powers_char_coeffs(m, registry, size)
+    for n in (1, 2):
+        registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+        y = _generic(registry, 0, n)
+        assert (_char_coeffs(y, registry, 2 * n)
+                == all_powers_char_coeffs(y, registry, 2 * n))
+
+
+def test_char_coeffs_at_sampled_sp6_points_match_faddeev_leverrier():
+    n = 3
+    registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+    es = _char_coeffs(_generic(registry, 0, n), registry, 2 * n)
+    rng = random.Random(705)
+    basis = sp_basis(n)
+    for _ in range(4):
+        y = MatF.zero(2 * n)
+        for b in basis:
+            y = y + b.scale(fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                               rng.randint(-1, 1)))
+        want = faddeev_leverrier(y)
+        values = coords_of(y, n)
+        assert [e.eval(values) for e in es] == want
+        assert all(not w for w in want[0::2]) and any(want[1::2])
 
 
 def test_quadratic_comoment_kills_minors():

@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from spnil.field import FieldScalar, HALF, ONE, fs
 from spnil.splie import MatF, RootDatumC, bracket, sp_basis, sp_dim
 from spnil.weylosc import (
+    LinearVectorField,
     OscVector,
     WeylElement,
     classical_comoment,
@@ -91,6 +93,61 @@ def test_theta0_is_a_lie_homomorphism():
             assert ta.commutator(tb) == theta0(bracket(a, b))
         assert theta0(MatF.zero(2 * n)).mat == [
             [FieldScalar(0)] * sp_dim(n) for _ in range(sp_dim(n))]
+
+
+def rand_scalar(rng):
+    return fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+
+
+def per_index_product(p, q):
+    """Normal-ordered p * q, exchanging y^b with x^c one index at a time."""
+    n = p.n
+    acc = {}
+    for (a, b), c1 in p.terms.items():
+        for (c, d), c2 in q.terms.items():
+            partial = [((), (), 1)]
+            for i in range(n):
+                opts = [(k, factorial(k) * comb(b[i], k) * comb(c[i], k))
+                        for k in range(min(b[i], c[i]) + 1)]
+                partial = [(xs + (c[i] - k,), ys + (b[i] - k,), w * wk)
+                           for xs, ys, w in partial for k, wk in opts]
+            for xs, ys, w in partial:
+                key = (tuple(u + v for u, v in zip(a, xs)),
+                       tuple(u + v for u, v in zip(ys, d)))
+                acc[key] = acc.get(key, FieldScalar(0)) + c1 * c2 * fs(w)
+    return WeylElement(n, acc)
+
+
+def test_weyl_product_matches_per_index_expansion():
+    rng = random.Random(611)
+    for n in (1, 2, 3):
+        basis = sp_basis(n)
+
+        def rand_image():
+            m = MatF.zero(2 * n)
+            for b in basis:
+                m = m + b.scale(rand_scalar(rng))
+            return theta1(m)
+
+        for _ in range(3):
+            u, v, w = rand_image(), rand_image(), rand_image()
+            uv = u * v
+            assert uv == per_index_product(u, v)
+            assert uv * w == per_index_product(uv, w)
+            assert w * uv == per_index_product(w, uv)
+            assert uv.commutator(w) == per_index_product(uv, w) - per_index_product(w, uv)
+
+
+def test_field_commutator_matches_dense_sums():
+    rng = random.Random(612)
+    for n in (1, 2):
+        size = sp_dim(n)
+        for density in (0.2, 1.0):
+            a, b = [[[rand_scalar(rng) if rng.random() < density else FieldScalar(0)
+                      for _ in range(size)] for _ in range(size)] for _ in range(2)]
+            want = [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(size)),
+                         FieldScalar(0)) for j in range(size)] for i in range(size)]
+            assert LinearVectorField(n, a).commutator(LinearVectorField(n, b)).mat == want
 
 
 def test_theta0_moves_root_coordinates_by_their_weight():
