@@ -82,6 +82,9 @@ SUITES = (
 # keep pure-Python runtimes sane; everything else follows the global n <= 4
 _SUITE_CAP = {"theta1-hom": 3, "theta0-hom": 2, "minors": 3, "lagrangian": 2, "embedding": 3}
 
+# verify lagrangian -n 2 costs about 64 ms per trial (point)
+MAX_TRIALS = 100
+
 
 def _check(name, params, expected, actual, passed):
     return {
@@ -124,44 +127,34 @@ def _conjugator(n, rng):
     return g, ginv
 
 
-def suite_theta1_hom(n, rng, trials):
+def _homomorphism_checks(name, theta, n):
+    """theta maps the bracket of every pair of sp_basis elements to the
+    commutator of their images."""
     basis = sp_basis(n)
-    images = [theta1(b) for b in basis]
+    images = [theta(b) for b in basis]
     bad = total = 0
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             total += 1
-            if theta1(bracket(a, b)) != images[i].commutator(images[j]):
+            if theta(bracket(a, b)) != images[i].commutator(images[j]):
                 bad += 1
     return [
         _check(
-            "theta1 bracket homomorphism",
+            f"{name} bracket homomorphism",
             {"n": n, "basis_pairs": total},
             "0 mismatches",
             f"{bad} mismatches",
             bad == 0,
         )
     ]
+
+
+def suite_theta1_hom(n, rng, trials):
+    return _homomorphism_checks("theta1", theta1, n)
 
 
 def suite_theta0_hom(n, rng, trials):
-    basis = sp_basis(n)
-    images = [theta0(b) for b in basis]
-    bad = total = 0
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            total += 1
-            if theta0(bracket(a, b)) != images[i].commutator(images[j]):
-                bad += 1
-    return [
-        _check(
-            "theta0 bracket homomorphism",
-            {"n": n, "basis_pairs": total},
-            "0 mismatches",
-            f"{bad} mismatches",
-            bad == 0,
-        )
-    ]
+    return _homomorphism_checks("theta0", theta0, n)
 
 
 def suite_minors(n, rng, trials):
@@ -628,8 +621,8 @@ def main(argv=None):
     elif args.command == "verify":
         if not 1 <= args.n <= 4:
             parser.error("verify requires 1 <= n <= 4")
-        if args.trials < 1:
-            parser.error("trials must be positive")
+        if not 1 <= args.trials <= MAX_TRIALS:
+            parser.error(f"trials must lie in 1..{MAX_TRIALS}")
         checks = run_verify(args.suite, args.n, args.seed, args.trials)
     elif args.command == "hilbert":
         if args.n != 1:

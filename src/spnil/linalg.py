@@ -1,13 +1,13 @@
 """Exact linear algebra over Q(sqrt2): dense solvers and sparse row reduction.
 
-Dense matrices are lists of FieldScalar rows and stay small (a few dozen rows)
-so plain Gaussian elimination is fine.  The sparse reducer backs the graded
-ideal-dimension computations, where rows are dicts keyed by exponent tuples;
-an all-rational matrix drops to an integer path with gcd normalization, which
-keeps coefficient growth tame without changing any rank.
+Dense matrices are sequences of FieldScalar rows and stay small (a few dozen
+rows), so plain Gauss-Jordan elimination is fine; the four dense solvers share
+one kernel and work on their own copy of the input.  The sparse reducer backs
+the graded ideal-dimension computations, where rows are dicts keyed by
+exponent tuples; an all-rational matrix drops to an integer path with gcd
+normalization, which keeps coefficient growth tame without changing any rank.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .field import FieldScalar
@@ -19,22 +19,21 @@ _ZERO = FieldScalar(0)
 # -- dense ----------------------------------------------------------------
 
 
-def _copy(mat):
-    return [list(row) for row in mat]
+def _rref(a, cols):
+    """Gauss-Jordan on the rows of a, in place; returns the pivot columns.
 
-
-def dense_rank(mat):
-    if not mat:
-        return 0
-    a = _copy(mat)
-    rows, cols = len(a), len(a[0])
-    rank = 0
+    Pivots are sought left to right in the first cols columns only, and
+    elimination stops once every row has one.  Row r then leads with 1 in
+    column pivots[r], which is 0 in every other row; the rows past the pivots
+    are zero in the first cols columns.
+    """
+    rows = len(a)
+    pivots = []
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][col]:
-                piv = r
-                break
+        if len(pivots) == rows:
+            break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, rows) if a[r][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
@@ -44,10 +43,14 @@ def dense_rank(mat):
             if r != rank and a[r][col]:
                 c = a[r][col]
                 a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def dense_rank(mat):
+    if not mat:
+        return 0
+    return len(_rref([list(row) for row in mat], len(mat[0])))
 
 
 def solve(mat, rhs):
@@ -55,76 +58,32 @@ def solve(mat, rhs):
 
     Free variables are set to zero.
     """
-    rows = len(mat)
-    if rows == 0:
+    if not mat:
         return []
     cols = len(mat[0])
     a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    pivot_cols = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    for r in range(rank, rows):
-        if a[r][cols]:
-            return None
-    x = [FieldScalar(0)] * cols
-    for r, col in enumerate(pivot_cols):
-        x[col] = a[r][cols]
+    pivots = _rref(a, cols)
+    if any(row[cols] for row in a[len(pivots):]):
+        return None
+    x = [_ZERO] * cols
+    for row, col in zip(a, pivots):
+        x[col] = row[cols]
     return x
 
 
 def nullspace(mat):
     """Basis of the exact kernel of mat (list of column vectors)."""
-    rows = len(mat)
-    if rows == 0:
+    if not mat:
         return []
     cols = len(mat[0])
-    a = _copy(mat)
-    pivot_cols = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    a = [list(row) for row in mat]
+    pivots = _rref(a, cols)
     basis = []
-    for fc in free_cols:
-        v = [FieldScalar(0)] * cols
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [_ZERO] * cols
         v[fc] = FieldScalar(1)
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
@@ -133,21 +92,8 @@ def inverse(mat):
     n = len(mat)
     a = [list(row) + [FieldScalar(1 if i == j else 0) for j in range(n)]
          for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
+    if len(_rref(a, n)) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in a]
 
 

@@ -18,6 +18,7 @@ from .splie import (
     bracket,
     centralizer_dim,
     is_nilpotent,
+    mat_from_coords,
     raw_square,
     require_sp,
     sp_basis,
@@ -52,8 +53,19 @@ def component_types(n):
     return [lam for lam in partitions_spn(n) if all(p % 2 == 0 for p in lam)]
 
 
-def _flatten(m):
+def _flat(m):
+    """Entries of a matrix, row by row."""
     return [v for row in m.entries for v in row]
+
+
+def _solve_in_basis(columns, rhs):
+    """Solve sum_k c_k columns[k] = rhs for flattened matrices."""
+    return linalg.solve(list(zip(*columns)), rhs)
+
+
+def _ad_flat(y, n):
+    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
+    return list(zip(*(_flat(bracket(b, y)) for b in sp_basis(n))))
 
 
 def nilpotent_rep(lam):
@@ -110,7 +122,7 @@ def nilpotent_rep(lam):
         p_rows[idx][n + t] = sign
 
     pmat = MatF(p_rows)
-    pinv = MatF(linalg.inverse([list(r) for r in pmat.entries]))
+    pinv = MatF(linalg.inverse(pmat.entries))
     e_std = pinv @ MatF(e_abs) @ pmat
     require_sp(e_std)
     return e_std
@@ -121,13 +133,6 @@ class Sl2Triple:
     e: MatF
     f: MatF
     h: MatF
-
-
-def _solve_in_basis(columns, rhs):
-    """Solve sum_k c_k columns[k] = rhs for flattened matrices."""
-    rows = len(rhs)
-    mat = [[columns[k][r] for k in range(len(columns))] for r in range(rows)]
-    return linalg.solve(mat, rhs)
 
 
 def sl2_complete(e):
@@ -142,42 +147,29 @@ def sl2_complete(e):
     if not is_nilpotent(e):
         raise ValueError("input is not nilpotent")
     n = e.size // 2
-    basis = sp_basis(e.size // 2)
+    basis = sp_basis(n)
     diag = basis[:n]  # H_i = E_ii - E_(n+i)(n+i)
-    two_e = _flatten(e.scale(2))
+    two_e = _flat(e.scale(2))
     zero = [_ZERO] * len(two_e)
 
-    cols = []
-    for hb in diag:
-        cols.append(_flatten(bracket(hb, e)) + _flatten(hb))
-    for b in basis:
-        cols.append(zero + _flatten(-bracket(e, b)))
+    cols = [_flat(bracket(hb, e)) + _flat(hb) for hb in diag]
+    cols += [zero + _flat(-bracket(e, b)) for b in basis]
     sol = _solve_in_basis(cols, two_e + zero)
     if sol is not None:
-        h = MatF.zero(e.size)
-        for c, hb in zip(sol[:n], diag):
-            if c:
-                h = h + hb.scale(c)
+        h = mat_from_coords(sol[:n], n)
     else:
-        cols = [_flatten(bracket(bracket(e, b), e)) for b in basis]
+        cols = [_flat(bracket(bracket(e, b), e)) for b in basis]
         sol = _solve_in_basis(cols, two_e)
         if sol is None:
             raise ValueError("no sl2 completion found")
-        w = MatF.zero(e.size)
-        for c, b in zip(sol, basis):
-            if c:
-                w = w + b.scale(c)
-        h = bracket(e, w)
+        h = bracket(e, mat_from_coords(sol, n))
 
-    cols = [_flatten(bracket(e, b)) + _flatten(bracket(h, b) + b.scale(2))
+    cols = [_flat(bracket(e, b)) + _flat(bracket(h, b) + b.scale(2))
             for b in basis]
-    sol = _solve_in_basis(cols, _flatten(h) + zero)
+    sol = _solve_in_basis(cols, _flat(h) + zero)
     if sol is None:
         raise ValueError("no sl2 completion found")
-    f = MatF.zero(e.size)
-    for c, b in zip(sol, basis):
-        if c:
-            f = f + b.scale(c)
+    f = mat_from_coords(sol, n)
 
     if bracket(h, e) != e.scale(2) or bracket(h, f) != f.scale(-2) or bracket(e, f) != h:
         raise ValueError("sl2 relations failed to close")
@@ -191,8 +183,7 @@ def _weight_spaces(h):
     spaces = {}
     total = 0
     for m in range(-size + 1, size):
-        shifted = [list(row) for row in (h - ident.scale(m)).entries]
-        basis = linalg.nullspace(shifted)
+        basis = linalg.nullspace((h - ident.scale(m)).entries)
         if basis:
             spaces[m] = basis
             total += len(basis)
@@ -244,12 +235,8 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     spaces = _weight_spaces(triple.h)
     vplus = [v for m, vs in spaces.items() if m > 0 for v in vs]
     vrest = [v for m, vs in spaces.items() if m <= 0 for v in vs]
-    basis = sp_basis(n)
-    mat = [[None] * len(basis) for _ in range(4 * n * n)]
-    for k, b in enumerate(basis):
-        col = _flatten(bracket(y, b))
-        for r in range(4 * n * n):
-            mat[r][k] = col[r]
+    # x solves [x, y] = -raw_square(v) exactly when -x solves [y, x] = ...
+    mat = _ad_flat(y, n)
 
     def combo(vectors, coeffs):
         out = [_ZERO] * (2 * n)
@@ -259,8 +246,7 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
         return out
 
     def solvable(v):
-        rhs = _flatten(-raw_square(v))
-        return linalg.solve(mat, rhs) is not None
+        return linalg.solve(mat, _flat(-raw_square(v))) is not None
 
     rng = random.Random(seed)
     ok = True

@@ -9,7 +9,7 @@ B, C symmetric.  The invariant pairing is the trace form Tr(ab).
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldScalar, ONE, SQRT2
+from .field import FieldScalar, SQRT2
 from . import linalg
 
 _ZERO = FieldScalar(0)
@@ -261,14 +261,7 @@ def dual_basis(n):
     basis = sp_basis(n)
     gram = [[trace_pair(a, b) for b in basis] for a in basis]
     ginv = linalg.inverse(gram)
-    dual = []
-    for k in range(len(basis)):
-        m = MatF.zero(2 * n)
-        for l, b in enumerate(basis):
-            if ginv[k][l]:
-                m = m + b.scale(ginv[k][l])
-        dual.append(m)
-    return tuple(dual)
+    return tuple(mat_from_coords(row, n) for row in ginv)
 
 
 def coords_of(m, n):
@@ -287,10 +280,8 @@ def mat_from_coords(coeffs, n):
 
 def ad_matrix(y, n):
     """Matrix of x -> [y, x] on sp(2n) in the sp_basis coordinates."""
-    basis = sp_basis(n)
-    cols = [coords_of(bracket(y, b), n) for b in basis]
-    size = len(basis)
-    return [[cols[k][m] for k in range(size)] for m in range(size)]
+    cols = [coords_of(bracket(y, b), n) for b in sp_basis(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def centralizer_dim(y):

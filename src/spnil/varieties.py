@@ -30,7 +30,7 @@ from .splie import (
     trace_pair,
 )
 from .weylosc import classical_comoment
-from .orbits import nilpotent_rep, sl2_complete
+from .orbits import _ad_flat, _flat, nilpotent_rep, sl2_complete
 
 _ZERO = FieldScalar(0)
 
@@ -197,13 +197,32 @@ def _pm_sub(a, b):
     return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
+def _odd_traces_vanish(m, registry):
+    """Whether tr(m^k) is zero for every odd k up to the size of the
+    polynomial matrix m, which holds exactly when the odd characteristic
+    coefficients e_1, e_3, ... of m all vanish.
+
+    By Newton's identities k e_k = sum over i = 1..k of (-1)^(i-1) e_(k-i)
+    tr(m^i), and for odd k every term has i odd or k - i odd; induct on k.
+    tr(m^(2j+1)) is the trace pairing of m^(j+1) with m^j, so only m, ...,
+    m^ceil(size/2) are formed.
+    """
+    if not _pm_trace(m, registry).is_zero():
+        return False
+    power = m
+    for _ in range((len(m) - 1) // 2):
+        higher = _pm_mul(power, m, registry)
+        if not _pm_pair(higher, power, registry).is_zero():
+            return False
+        power = higher
+    return True
+
+
 def odd_char_coeffs_vanish(n):
-    """Symbolic check that odd characteristic coefficients vanish on sp(2n)."""
-    nn = sp_dim(n)
-    registry = tuple(f"y{k}" for k in range(nn))
-    y = _generic(registry, 0, n)
-    es = _char_coeffs(y, registry, 2 * n)
-    return all(es[2 * k].is_zero() for k in range(n))
+    """Symbolic check that odd characteristic coefficients vanish on sp(2n),
+    read from the odd power traces of a generic element."""
+    registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+    return _odd_traces_vanish(_generic(registry, 0, n), registry)
 
 
 def theta1_kills_minors(n):
@@ -213,17 +232,6 @@ def theta1_kills_minors(n):
     gens = ideal_generators("K", n)
     images = [classical_comoment(d) for d in dual_basis(n)]
     return all(g.subst(images).is_zero() for g in gens)
-
-
-def _flat(m):
-    """Entries of a matrix, row by row."""
-    return [v for row in m.entries for v in row]
-
-
-def _ad_flat(y, n):
-    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
-    cols = [_flat(bracket(b, y)) for b in sp_basis(n)]
-    return [list(row) for row in zip(*cols)]
 
 
 def unipotent_factors(n, rng, count=None):
@@ -417,21 +425,19 @@ def positive_weight_space(y):
     which equals the span of the positive-weight vectors of any sl2
     completion of y; the formula needs no completion and is equivariant.
     """
-    size = y.size
     candidates = []
     power = y
     while not power.is_zero():
         square = power @ power
-        rows = [[square.entries[r][c] for c in range(size)] for r in range(size)]
-        for w in linalg.nullspace(rows):
-            v = power.apply(list(w))
+        for w in linalg.nullspace(square.entries):
+            v = power.apply(w)
             if any(v):
                 candidates.append(v)
         power = power @ y
     basis = []
     for v in candidates:
-        if linalg.dense_rank([list(b) for b in basis] + [list(v)]) > len(basis):
-            basis.append(list(v))
+        if linalg.dense_rank(basis + [v]) > len(basis):
+            basis.append(v)
     return basis
 
 

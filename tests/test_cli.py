@@ -1,14 +1,18 @@
 """Command-line surface: exit codes, report schemas, byte-level determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from spnil.cli import main
+from spnil.cli import MAX_TRIALS, main
+
+GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def run(argv):
@@ -55,6 +59,10 @@ def test_usage_errors_exit_two():
     run_expecting_usage_error(["verify", "weyl", "-n", "5"])
     run_expecting_usage_error(["verify", "weyl", "-n", "0"])
     run_expecting_usage_error(["verify", "weyl", "-n", "1", "--trials", "0"])
+    run_expecting_usage_error(["verify", "lagrangian", "-n", "2", "--trials",
+                               str(MAX_TRIALS + 1)])
+    run_expecting_usage_error(["verify", "lagrangian", "-n", "2", "--trials",
+                               "10000000"])
     run_expecting_usage_error(["verify", "weyl", "-n", "1", "--format", "xml"])
     run_expecting_usage_error(["census", "-n", "5"])
     run_expecting_usage_error(["hilbert", "-n", "2"])
@@ -166,3 +174,12 @@ def test_module_entry_point():
     rep = json.loads(proc.stdout)
     assert rep["checks"][0]["params"]["lambda"] == [2]
     assert "wall time" in proc.stderr
+
+
+def test_frozen_reports_match_their_golden_bytes():
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    assert len(goldens) == 15
+    for argv, want in goldens.items():
+        code, out, _ = run(argv.split())
+        assert code == want["exit"], argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"], argv

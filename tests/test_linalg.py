@@ -7,6 +7,7 @@ import pytest
 
 from spnil.field import FieldScalar, ONE, SQRT2, fs
 from spnil.linalg import (
+    _rref,
     dense_rank,
     inverse,
     nullspace,
@@ -33,6 +34,28 @@ def rand_mat(rng, rows, cols, with_root=False):
 
 def mat_vec(mat, vec):
     return [sum((r * v for r, v in zip(row, vec)), ZERO) for row in mat]
+
+
+def product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)]
+            for row in a]
+
+
+def shaped_matrices(seed):
+    """Seeded sqrt2 matrices: tall, wide, zero, with duplicate rows, of full
+    row rank (elimination stops early), and products of low inner rank."""
+    rng = random.Random(seed)
+    mats = [rand_mat(rng, 6, 3, with_root=True), rand_mat(rng, 3, 6, with_root=True),
+            [[ZERO] * 4 for _ in range(3)], [[ZERO]]]
+    rows = rand_mat(rng, 3, 5, with_root=True)
+    mats.append(rows + [rows[1], [SQRT2 * v for v in rows[0]], rows[2]])
+    ident = [[fs(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    mats.append([row + extra for row, extra in zip(ident, rand_mat(rng, 4, 2, with_root=True))])
+    for _ in range(8):
+        inner = rng.randint(1, 3)
+        mats.append(product(rand_mat(rng, rng.randint(1, 6), inner, with_root=True),
+                            rand_mat(rng, inner, rng.randint(1, 6), with_root=True)))
+    return mats
 
 
 def test_dense_rank_known_matrices():
@@ -68,16 +91,55 @@ def test_solve_detects_inconsistency():
     assert solve(a, [fs(1), fs(2)]) is not None
 
 
+def test_rref_is_reduced_echelon_and_spans_the_rows():
+    early_stops = 0
+    for a in shaped_matrices(411):
+        cols = len(a[0])
+        red = [list(row) for row in a]
+        pivots = _rref(red, cols)
+        assert pivots == sorted(set(pivots))
+        for r, pc in enumerate(pivots):
+            assert red[r][pc] == ONE
+            assert not any(red[r][:pc])
+            assert not any(red[s][pc] for s in range(len(red)) if s != r)
+        assert not any(v for row in red[len(pivots):] for v in row)
+        # a row of A is the combination of the reduced rows weighted by its
+        # own entries in the pivot columns
+        for row in a:
+            combo = [sum((row[pc] * red[r][c] for r, pc in enumerate(pivots)), ZERO)
+                     for c in range(cols)]
+            assert combo == list(row)
+        early_stops += len(pivots) == len(a) and pivots[-1] < cols - 1
+    assert early_stops
+
+
+def test_solve_succeeds_exactly_when_rank_does_not_grow():
+    rng = random.Random(413)
+    verdicts = set()
+    for a in shaped_matrices(414):
+        rows, cols = len(a), len(a[0])
+        x = [fs(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)]
+        for b in (mat_vec(a, x), rand_mat(rng, 1, rows, with_root=True)[0]):
+            augmented = [list(row) + [v] for row, v in zip(a, b)]
+            consistent = dense_rank(augmented) == dense_rank(a)
+            s = solve(a, b)
+            assert (s is not None) == consistent
+            if s is not None:
+                assert mat_vec(a, s) == b
+            verdicts.add(consistent)
+    assert verdicts == {True, False}
+
+
 def test_nullspace_vectors_are_killed_and_count_matches():
     rng = random.Random(402)
-    for _ in range(25):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        a = rand_mat(rng, rows, cols)
+    mats = [rand_mat(rng, rng.randint(1, 4), rng.randint(1, 5)) for _ in range(25)]
+    for a in mats + shaped_matrices(412):
+        rows, cols = len(a), len(a[0])
         basis = nullspace(a)
         for v in basis:
             assert mat_vec(a, v) == [ZERO] * rows
         assert dense_rank(a) + len(basis) == cols
+        assert dense_rank(a) == dense_rank([list(col) for col in zip(*a)])
         if basis:
             assert dense_rank(basis) == len(basis)
 
@@ -99,6 +161,23 @@ def test_inverse_round_trip_and_singular_rejection():
         assert prod == [[fs(1 if i == j else 0) for j in range(n)] for i in range(n)]
     with pytest.raises(ValueError, match="singular"):
         inverse([[fs(1), fs(2)], [fs(2), fs(4)]])
+    # sqrt2 products through an inner dimension of n or n - 1: the inverse
+    # exists exactly at full rank and then works on both sides
+    verdicts = set()
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        inner = rng.randint(max(n - 1, 1), n)
+        a = product(rand_mat(rng, n, inner, with_root=True),
+                    rand_mat(rng, inner, n, with_root=True))
+        ident = [[fs(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        if dense_rank(a) == n:
+            ainv = inverse(a)
+            assert product(a, ainv) == ident == product(ainv, a)
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(a)
+        verdicts.add(dense_rank(a) == n)
+    assert verdicts == {True, False}
 
 
 def test_sparse_rank_agrees_with_dense():
@@ -156,3 +235,4 @@ def test_truncated_ideal_dim_rejects_bad_input():
     with pytest.raises(ValueError, match="degree"):
         truncated_ideal_dim([a * b], -1)
     assert truncated_ideal_dim([], 5) == 0
+

@@ -29,6 +29,7 @@ from spnil.varieties import (
     _isotropic,
     _rep_and_positive_slots,
     _jacobian_at,
+    _odd_traces_vanish,
     _pairing,
     _split,
     _stratum_frame,
@@ -334,6 +335,31 @@ def test_odd_characteristic_coefficients_vanish():
     assert odd_char_coeffs_vanish(1)
     assert odd_char_coeffs_vanish(2)
     assert odd_char_coeffs_vanish(3)
+
+
+def test_odd_traces_vanish_exactly_with_odd_char_coeffs():
+    # generic sp(2n): both sides vanish; generic gl(2), gl(4) and generic
+    # sp(2n) with one entry bumped off sp: both sides are nonzero
+    cases = []
+    for n in (1, 2, 3):
+        registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+        cases.append((registry, _generic(registry, 0, n), True))
+    for size in (2, 4):
+        registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
+        m = [[MultiPoly.variable(registry, size * i + j) for j in range(size)]
+             for i in range(size)]
+        cases.append((registry, m, False))
+    for n, (i, j) in ((1, (0, 0)), (2, (0, 1)), (2, (0, 3)), (3, (1, 0))):
+        registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+        m = _generic(registry, 0, n)
+        m[i][j] = m[i][j] + MultiPoly.constant(registry, 1)
+        cases.append((registry, m, False))
+    for registry, m, expected in cases:
+        size = len(m)
+        es = _char_coeffs(m, registry, size)
+        odd_zero = all(e.is_zero() for e in es[0::2])
+        assert odd_zero == expected
+        assert _odd_traces_vanish(m, registry) == odd_zero
 
 
 def all_powers_char_coeffs(m, registry, size):
