@@ -9,10 +9,25 @@ from fractions import Fraction
 from math import gcd
 
 
+def _whole(an, bn):
+    """The scalar an + bn*sqrt2 for integers an, bn; (an, bn, 1) is already
+    normalised, so no gcd is taken."""
+    s = object.__new__(FieldScalar)
+    s.an = an
+    s.bn = bn
+    s.den = 1
+    return s
+
+
 class FieldScalar:
     __slots__ = ("an", "bn", "den")
 
     def __init__(self, rational=0, root2=0):
+        if type(rational) is int and type(root2) is int:
+            self.an, self.bn, self.den = rational, root2, 1
+            return
+        if isinstance(rational, float) or isinstance(root2, float):
+            raise TypeError("floats are not exact; pass an int, Fraction or string")
         a = Fraction(rational)
         b = Fraction(root2)
         da, db = a.denominator, b.denominator
@@ -65,9 +80,11 @@ class FieldScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldScalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == 1 and o.den == 1:
+            return _whole(self.an + o.an, self.bn + o.bn)
         return FieldScalar._raw(
             self.an * o.den + o.an * self.den,
             self.bn * o.den + o.bn * self.den,
@@ -77,9 +94,11 @@ class FieldScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldScalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == 1 and o.den == 1:
+            return _whole(self.an - o.an, self.bn - o.bn)
         return FieldScalar._raw(
             self.an * o.den - o.an * self.den,
             self.bn * o.den - o.bn * self.den,
@@ -93,12 +112,17 @@ class FieldScalar:
         return o - self
 
     def __neg__(self):
+        if self.den == 1:
+            return _whole(-self.an, -self.bn)
         return FieldScalar._raw(-self.an, -self.bn, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldScalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == 1 and o.den == 1:
+            return _whole(self.an * o.an + 2 * self.bn * o.bn,
+                          self.an * o.bn + self.bn * o.an)
         return FieldScalar._raw(
             self.an * o.an + 2 * self.bn * o.bn,
             self.an * o.bn + self.bn * o.an,

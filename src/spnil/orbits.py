@@ -60,6 +60,8 @@ def _flat(m):
 
 def _solve_in_basis(columns, rhs):
     """Solve sum_k c_k columns[k] = rhs for flattened matrices."""
+    if not columns:
+        return None if any(rhs) else []
     return linalg.solve(list(zip(*columns)), rhs)
 
 
@@ -142,6 +144,9 @@ def sl2_complete(e):
     conditions); that recovers the integer diagonal h of the canonical
     representatives.  Otherwise h = [e, w] with [[e, w], e] = 2e.  Then f
     solves [e, f] = h, [h, f] = -2f, and all relations are re-verified.
+    The f of a triple is unique given e and h (Kostant), so with h diagonal,
+    where every basis element is an ad h eigenvector, f is solved for on the
+    weight -2 elements alone.
     """
     require_sp(e)
     if not is_nilpotent(e):
@@ -151,22 +156,27 @@ def sl2_complete(e):
     diag = basis[:n]  # H_i = E_ii - E_(n+i)(n+i)
     two_e = _flat(e.scale(2))
     zero = [_ZERO] * len(two_e)
+    e_b = [bracket(e, b) for b in basis]
 
     cols = [_flat(bracket(hb, e)) + _flat(hb) for hb in diag]
-    cols += [zero + _flat(-bracket(e, b)) for b in basis]
+    cols += [zero + _flat(-eb) for eb in e_b]
     sol = _solve_in_basis(cols, two_e + zero)
     if sol is not None:
         h = mat_from_coords(sol[:n], n)
+        lowering = [k for k, b in enumerate(basis) if _weight(b, h) == -2]
+        sol = _solve_in_basis([_flat(e_b[k]) for k in lowering], _flat(h))
+        if sol is not None:
+            by_index = dict(zip(lowering, sol))
+            sol = [by_index.get(k, _ZERO) for k in range(len(basis))]
     else:
-        cols = [_flat(bracket(bracket(e, b), e)) for b in basis]
+        cols = [_flat(bracket(eb, e)) for eb in e_b]
         sol = _solve_in_basis(cols, two_e)
         if sol is None:
             raise ValueError("no sl2 completion found")
         h = bracket(e, mat_from_coords(sol, n))
-
-    cols = [_flat(bracket(e, b)) + _flat(bracket(h, b) + b.scale(2))
-            for b in basis]
-    sol = _solve_in_basis(cols, _flat(h) + zero)
+        cols = [_flat(eb) + _flat(bracket(h, b) + b.scale(2))
+                for eb, b in zip(e_b, basis)]
+        sol = _solve_in_basis(cols, _flat(h) + zero)
     if sol is None:
         raise ValueError("no sl2 completion found")
     f = mat_from_coords(sol, n)
@@ -174,6 +184,13 @@ def sl2_complete(e):
     if bracket(h, e) != e.scale(2) or bracket(h, f) != f.scale(-2) or bracket(e, f) != h:
         raise ValueError("sl2 relations failed to close")
     return Sl2Triple(e=e, f=f, h=h)
+
+
+def _weight(b, h):
+    """ad h eigenvalue h_ii - h_jj of a basis element b with diagonal h, read
+    at its first nonzero entry (i, j)."""
+    i, j = next((i, row[0][0]) for i, row in enumerate(b._nonzero_rows()) if row)
+    return h.entries[i][i] - h.entries[j][j]
 
 
 def _weight_spaces(h):

@@ -13,6 +13,7 @@ from .field import FieldScalar, SQRT2
 from . import linalg
 
 _ZERO = FieldScalar(0)
+_ONE = FieldScalar(1)
 _INV_SQRT2 = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
@@ -23,7 +24,7 @@ def _coerce(x):
 class MatF:
     """Immutable square matrix over Q(sqrt2)."""
 
-    __slots__ = ("entries", "size")
+    __slots__ = ("entries", "size", "_nz")
 
     def __init__(self, entries):
         rows = tuple(tuple(_coerce(v) for v in row) for row in entries)
@@ -32,20 +33,38 @@ class MatF:
             if len(row) != self.size:
                 raise ValueError("matrix must be square")
         self.entries = rows
+        self._nz = None
+
+    @classmethod
+    def _of(cls, rows):
+        """Trusted constructor: rows are square and hold FieldScalars only."""
+        m = object.__new__(cls)
+        m.entries = tuple(tuple(row) for row in rows)
+        m.size = len(m.entries)
+        m._nz = None
+        return m
+
+    def _nonzero_rows(self):
+        """Per row, its nonzero entries as (column, value), computed once."""
+        if self._nz is None:
+            self._nz = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                             for row in self.entries)
+        return self._nz
 
     @classmethod
     def zero(cls, size):
-        return cls([[0] * size for _ in range(size)])
+        return cls._of([_ZERO] * size for _ in range(size))
 
     @classmethod
     def identity(cls, size):
-        return cls([[1 if i == j else 0 for j in range(size)] for i in range(size)])
+        return cls._of([_ONE if i == j else _ZERO for j in range(size)]
+                       for i in range(size))
 
     @classmethod
     def unit(cls, size, i, j, c=1):
-        rows = [[0] * size for _ in range(size)]
-        rows[i][j] = c
-        return cls(rows)
+        rows = [[_ZERO] * size for _ in range(size)]
+        rows[i][j] = _coerce(c)
+        return cls._of(rows)
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -56,38 +75,37 @@ class MatF:
 
     def __add__(self, other):
         self._check(other)
-        return MatF([[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.entries, other.entries)])
+        return MatF._of([[a + b for a, b in zip(r1, r2)]
+                         for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check(other)
-        return MatF([[a - b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.entries, other.entries)])
+        return MatF._of([[a - b for a, b in zip(r1, r2)]
+                         for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return MatF([[-a for a in row] for row in self.entries])
+        return MatF._of([[-a for a in row] for row in self.entries])
 
     def scale(self, c):
         c = _coerce(c)
-        return MatF([[c * a for a in row] for row in self.entries])
+        return MatF._of([[c * a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         # row i of the product is sum_k a_ik * (row k of other); zero entries
         # on either side contribute nothing and are skipped
         self._check(other)
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        right = other._nonzero_rows()
         out = []
-        for row in self.entries:
+        for row in self._nonzero_rows():
             acc = [_ZERO] * self.size
-            for a, nonzero in zip(row, right):
-                if a:
-                    for j, b in nonzero:
-                        acc[j] = acc[j] + a * b
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b
             out.append(acc)
-        return MatF(out)
+        return MatF._of(out)
 
     def transpose(self):
-        return MatF(list(zip(*self.entries)))
+        return MatF._of(zip(*self.entries))
 
     def trace(self):
         return sum((self.entries[i][i] for i in range(self.size)), _ZERO)
@@ -193,15 +211,16 @@ def bracket(a, b, strict=False):
 
 
 def trace_pair(a, b):
-    """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product."""
+    """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product.
+    Walks the cached nonzero entries of a and looks up b_ji for each."""
     a._check(b)
     total = _ZERO
-    for i, row in enumerate(a.entries):
-        for j, v in enumerate(row):
-            if v:
-                w = b.entries[j][i]
-                if w:
-                    total = total + v * w
+    rows = b.entries
+    for i, row in enumerate(a._nonzero_rows()):
+        for j, v in row:
+            w = rows[j][i]
+            if w:
+                total = total + v * w
     return total
 
 

@@ -91,3 +91,57 @@ def test_hashable_and_usable_as_dict_key():
     d = {HALF: "h", SQRT2: "s"}
     assert d[fs(Fraction(1, 2))] == "h"
     assert d[fs(0, 1)] == "s"
+
+
+def test_floats_are_refused():
+    # a float such as 0.1 is not the rational it prints as, so nothing
+    # converts one silently: construction refuses it like the operators do
+    from spnil.splie import MatF
+
+    for make in (lambda: FieldScalar(0.1), lambda: FieldScalar(0, 0.5),
+                 lambda: fs(0.25), lambda: MatF([[0.1]]),
+                 lambda: ONE + 0.5, lambda: 0.5 * ONE):
+        with pytest.raises(TypeError):
+            make()
+
+
+def kernel_scalars(rng):
+    """Integers (negative, zero, past 2**64), mixed denominators and sqrt2."""
+    big = 2 ** 64
+    out = [FieldScalar(0), FieldScalar(-7), FieldScalar(big + 3),
+           FieldScalar(-5 * big, big + 1), SQRT2, fs(0, -3), HALF]
+    for _ in range(12):
+        out.append(FieldScalar(rng.randint(-4 * big, 4 * big),
+                               rng.choice((0, rng.randint(-big, big)))))
+        out.append(FieldScalar(rng.randint(-9, 9), rng.randint(-3, 3)))
+        out.append(rand_scalar(rng))
+    return out
+
+
+def test_operators_match_the_normalising_constructor():
+    # integer operands skip the gcd; the triple must be the one _raw makes
+    # from the general formulas, so equality and hashing cannot tell
+    rng = random.Random(20241)
+    scalars = kernel_scalars(rng)
+    for p, q in ((0, 0), (-7, 3), (2 ** 70, -(2 ** 65)), (1, 0)):
+        s = FieldScalar(p, q)
+        want = FieldScalar(Fraction(p), Fraction(q))
+        assert (s.an, s.bn, s.den) == (want.an, want.bn, want.den)
+    for a in scalars:
+        assert (-a).__class__ is FieldScalar
+        want = FieldScalar._raw(-a.an, -a.bn, a.den)
+        assert ((-a).an, (-a).bn, (-a).den) == (want.an, want.bn, want.den)
+        for b in scalars + [3, -2 ** 70, Fraction(-5, 6), 0]:
+            o = b if isinstance(b, FieldScalar) else FieldScalar(b)
+            cases = (
+                (a + b, (a.an * o.den + o.an * a.den, a.bn * o.den + o.bn * a.den)),
+                (b + a, (a.an * o.den + o.an * a.den, a.bn * o.den + o.bn * a.den)),
+                (a - b, (a.an * o.den - o.an * a.den, a.bn * o.den - o.bn * a.den)),
+                (b - a, (o.an * a.den - a.an * o.den, o.bn * a.den - a.bn * o.den)),
+                (a * b, (a.an * o.an + 2 * a.bn * o.bn, a.an * o.bn + a.bn * o.an)),
+                (b * a, (a.an * o.an + 2 * a.bn * o.bn, a.an * o.bn + a.bn * o.an)),
+            )
+            for got, (an, bn) in cases:
+                want = FieldScalar._raw(an, bn, a.den * o.den)
+                assert (got.an, got.bn, got.den) == (want.an, want.bn, want.den)
+                assert got == want and hash(got) == hash(want)

@@ -1,10 +1,14 @@
 """Nilpotent orbit census for sp(2n) and the shift-chain square lemma."""
 
 import itertools
+import random
 
+from spnil import linalg
 from spnil.field import FieldScalar
 from spnil.orbits import (
     CensusRow,
+    _flat,
+    _solve_in_basis,
     census,
     component_types,
     lowest_coefficient_membership,
@@ -14,7 +18,18 @@ from spnil.orbits import (
     sl2_lowest_coefficient_check,
     verify_sl2_square_lemma,
 )
-from spnil.splie import bracket, centralizer_dim, is_nilpotent, is_sp, sp_dim
+from spnil.splie import (
+    bracket,
+    centralizer_dim,
+    is_nilpotent,
+    is_sp,
+    mat_from_coords,
+    sp_basis,
+    sp_dim,
+)
+from spnil.varieties import unipotent_factors
+
+ZERO = FieldScalar(0)
 
 
 def rank_of(mat):
@@ -91,6 +106,58 @@ def test_sl2_complete_relations():
             size = 2 * n
             assert all(t.h.entries[i][j].is_zero()
                        for i in range(size) for j in range(size) if i != j)
+
+
+def full_f_system(e, h):
+    """f from [e, f] = h and [h, f] = -2f solved over all of sp(2n), as
+    sl2_complete did before it used the weight -2 support of a diagonal h."""
+    n = e.size // 2
+    basis = sp_basis(n)
+    cols = [_flat(bracket(e, b)) + _flat(bracket(h, b) + b.scale(2))
+            for b in basis]
+    sol = linalg.solve(list(zip(*cols)), _flat(h) + [ZERO] * (2 * n) ** 2)
+    assert sol is not None
+    return mat_from_coords(sol, n)
+
+
+def test_sl2_f_matches_the_full_system():
+    # f is unique given (e, h) (Kostant), so the weight -2 solve must return
+    # the f of the full system: on every canonical representative, the zero
+    # partition included, and on seeded unipotent conjugates, half of which
+    # take the non-diagonal h = [e, w] branch
+    rng = random.Random(29)
+    diagonal = off_diagonal = 0
+    for n in (1, 2, 3):
+        size = 2 * n
+        for lam in partitions_spn(n):
+            e = nilpotent_rep(lam)
+            elements = [e]
+            for _ in range(2):
+                y = e
+                for g, ginv in unipotent_factors(n, rng):
+                    y = g @ y @ ginv
+                elements.append(y)
+            for y in elements:
+                t = sl2_complete(y)
+                assert t.f == full_f_system(y, t.h)
+                if lam == (1,) * size:
+                    assert t.f.is_zero() and t.h.is_zero()
+                if all(not t.h[i, j] for i in range(size)
+                       for j in range(size) if i != j):
+                    diagonal += 1
+                else:
+                    off_diagonal += 1
+    assert diagonal >= 14 and off_diagonal >= 10
+
+
+def test_solve_in_basis_without_columns():
+    # no columns span only the zero matrix
+    zero, one = FieldScalar(0), FieldScalar(1)
+    assert _solve_in_basis([], [zero, zero]) == []
+    assert _solve_in_basis([], [one, zero]) is None
+    assert _solve_in_basis([], [zero, FieldScalar(0, 1)]) is None
+    assert _solve_in_basis([[one, zero]], [FieldScalar(3), zero]) == [FieldScalar(3)]
+    assert _solve_in_basis([[one, zero]], [zero, one]) is None
 
 
 def test_census_rank_one():

@@ -156,6 +156,40 @@ def test_products_and_trace_pairing_match_naive_sums():
                     assert [list(row) for row in (a @ b).entries] == want
                     assert trace_pair(a, b) == sum(
                         (want[i][i] for i in range(size)), ZERO)
+                    # trace_pair walks the nonzeros of its first argument,
+                    # so pair each with a dense matrix on either side
+                    dense = MatF([[rand_scalar(rng) for _ in range(size)]
+                                  for _ in range(size)])
+                    for left, right in ((dense, a), (a, dense)):
+                        prod = naive_product(left, right)
+                        assert trace_pair(left, right) == sum(
+                            (prod[i][i] for i in range(size)), ZERO)
+
+
+def test_trusted_results_equal_checked_construction():
+    # +, -, negation, scale, @ and transpose skip re-coercing their entries;
+    # each result must equal, and hash like, MatF built from the same rows
+    rng = random.Random(508)
+    for n in (1, 2, 3):
+        size = 2 * n
+        for density in (0.2, 1.0):
+            for _ in range(4):
+                a, b = (MatF([[rand_scalar(rng) if rng.random() < density else 0
+                               for _ in range(size)] for _ in range(size)])
+                        for _ in range(2))
+                c = rand_scalar(rng)
+                for out in (a + b, a - b, -a, a.scale(c), a.scale(3),
+                            a.scale(Fraction(1, 3)), a @ b, a.transpose()):
+                    checked = MatF([list(row) for row in out.entries])
+                    assert out == checked and hash(out) == hash(checked)
+                    assert type(out.entries) is tuple
+                    assert all(type(row) is tuple and len(row) == size
+                               for row in out.entries)
+                    assert all(type(v) is FieldScalar
+                               for row in out.entries for v in row)
+                    assert out._nonzero_rows() == tuple(
+                        tuple((j, out[i, j]) for j in range(size) if out[i, j])
+                        for i in range(size))
 
 
 def test_is_sp_matches_the_j_matrix_definition():
