@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldScalar
+from .field import FieldScalar, ONE
 from .poly import MultiPoly, divide_by_linear
 from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
-
-_ZERO = FieldScalar(0)
 
 
 @dataclass(frozen=True)
@@ -137,20 +135,39 @@ def root_linear(root, registry):
     return p
 
 
-def dunkl_apply(direction, p, params):
-    """Dunkl operator in coordinate direction e_direction applied to p."""
-    n = len(p.registry)
+@lru_cache(maxsize=None)
+def _dunkl_monomial(direction, registry, exp, params):
+    """T_y of the monomial t^exp, by the divided differences of each root.
+    Shared table entry: callers copy it, never hand it out."""
+    p = MultiPoly(registry, {exp: ONE})
     out = p.partial(direction)
-    for root in _datum(n).positive_roots:
+    for root in _datum(len(registry)).positive_roots:
         a_y = root.coeffs[direction]
         if not a_y:
             continue
         diff = p - w_act(reflection(root), p)
         if diff.is_zero():
             continue
-        quot = divide_by_linear(diff, root_linear(root, p.registry))
+        quot = divide_by_linear(diff, root_linear(root, registry))
         out = out - quot.scale(params.value(root) * a_y)
     return out
+
+
+def dunkl_apply(direction, p, params):
+    """Dunkl operator in coordinate direction e_direction applied to p: T_y
+    is linear, so it is the sum of c T_y(t^e) over the terms c t^e of p."""
+    acc = {}
+    for exp, c in p.terms.items():
+        image = _dunkl_monomial(direction, p.registry, exp, params).terms
+        for key, v in image.items():
+            t = v if c == ONE else c * v
+            s = acc.get(key)
+            s = t if s is None else s + t
+            if s:
+                acc[key] = s
+            elif key in acc:
+                del acc[key]
+    return MultiPoly(p.registry, acc)
 
 
 def check_hc_relation(x_idx, y_idx, p, params):

@@ -82,8 +82,11 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldScalar)):
-            other = MultiPoly.constant(self.registry, other)
+        if not isinstance(other, MultiPoly):
+            c = FieldScalar._coerce(other)
+            if c is None:
+                return NotImplemented
+            other = MultiPoly.constant(self.registry, c)
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
@@ -99,8 +102,6 @@ class MultiPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldScalar)):
-            other = MultiPoly.constant(self.registry, other)
         return self + (-other)
 
     def __neg__(self):
@@ -119,8 +120,9 @@ class MultiPoly:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldScalar)):
-            return self.scale(other)
+        if not isinstance(other, MultiPoly):
+            c = FieldScalar._coerce(other)
+            return NotImplemented if c is None else self.scale(c)
         self._check(other)
         acc = {}
         for e1, c1 in self.terms.items():

@@ -73,14 +73,17 @@ class MatF:
         if self.size != other.size:
             raise ValueError("size mismatch")
 
+    # + and - by a zero entry, and scale of a zero entry, keep the entry
+    # itself: scalars are immutable, so sharing one is safe
+
     def __add__(self, other):
         self._check(other)
-        return MatF._of([[a + b for a, b in zip(r1, r2)]
+        return MatF._of([[a + b if b else a for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check(other)
-        return MatF._of([[a - b for a, b in zip(r1, r2)]
+        return MatF._of([[a - b if b else a for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
@@ -88,7 +91,7 @@ class MatF:
 
     def scale(self, c):
         c = _coerce(c)
-        return MatF._of([[c * a for a in row] for row in self.entries])
+        return MatF._of([[c * a if a else a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         # row i of the product is sum_k a_ik * (row k of other); zero entries

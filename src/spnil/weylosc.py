@@ -8,10 +8,10 @@ monomials with exponents in Z - 1/2, stored as doubled (odd) integers, on
 which x_i acts by multiplication and y_i as d/dx_i.
 """
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, lcm
 
 from .field import FieldScalar, ONE, HALF
 from .poly import MultiPoly
@@ -20,12 +20,27 @@ from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 _ZERO = FieldScalar(0)
 
 
+# Products pack a monomial x^a y^b into one int, exponent k in 32-bit digit k
+# (x_1..x_n, then y_1..y_n).  Exponents are nonnegative and far below 2^32, so
+# digits never carry and multiplying monomials adds keys.
+_DIGIT = 32
+
+
+def _pack(exps):
+    return int.from_bytes(struct.pack(f"<{len(exps)}I", *exps), "little")
+
+
+def _unpack(key, n):
+    """The (x-exponents, y-exponents) of a packed key."""
+    digits = struct.unpack(f"<{2 * n}I", key.to_bytes(8 * n, "little"))
+    return digits[:n], digits[n:]
+
+
 @lru_cache(maxsize=None)
 def _exchange(b, c):
     """Normal ordering of y^b x^c for exponent tuples b, c: the terms
-    (x-exponents, y-exponents, weight) of
-    prod_i sum_k k! C(b_i,k) C(c_i,k) x_i^(c_i-k) y_i^(b_i-k),
-    with weight None standing for 1."""
+    (packed x-exponents and y-exponents, integer weight) of
+    prod_i sum_k k! C(b_i,k) C(c_i,k) x_i^(c_i-k) y_i^(b_i-k)."""
     partial = [((), (), 1)]
     for bi, ci in zip(b, c):
         opts = [(k, factorial(k) * comb(bi, k) * comb(ci, k)) for k in range(min(bi, ci) + 1)]
@@ -34,7 +49,16 @@ def _exchange(b, c):
             for xs, ys, w in partial
             for k, wk in opts
         ]
-    return tuple((xs, ys, None if w == 1 else FieldScalar(w)) for xs, ys, w in partial)
+    return tuple((_pack(xs + ys), w) for xs, ys, w in partial)
+
+
+def _int_pairs(terms):
+    """Clear the coefficients of terms to one common denominator d: returns d
+    and the list of (key, p, q) with coefficient (p + q*sqrt2)/d."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.den)
+    return d, [(key, c.an * (d // c.den), c.bn * (d // c.den)) for key, c in terms.items()]
 
 
 class WeylElement:
@@ -101,8 +125,11 @@ class WeylElement:
             raise ValueError("generator count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldScalar)):
-            other = WeylElement.constant(self.n, other)
+        if not isinstance(other, WeylElement):
+            c = FieldScalar._coerce(other)
+            if c is None:
+                return NotImplemented
+            other = WeylElement.constant(self.n, c)
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
@@ -115,8 +142,6 @@ class WeylElement:
         return WeylElement(self.n, terms)
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldScalar)):
-            other = WeylElement.constant(self.n, other)
         return self + (-other)
 
     def __neg__(self):
@@ -127,26 +152,39 @@ class WeylElement:
         return WeylElement(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        """Normal-ordered product via y^b x^c = sum_k k! C(b,k) C(c,k) x^(c-k) y^(b-k)."""
-        if isinstance(other, (int, FieldScalar)):
-            return self.scale(other)
+        """Normal-ordered product via y^b x^c = sum_k k! C(b,k) C(c,k) x^(c-k) y^(b-k).
+
+        Coefficients are cleared to integer pairs over one denominator per
+        operand and monomials are packed into ints, so the sums run on Python
+        ints and each output coefficient is normalised once."""
+        if not isinstance(other, WeylElement):
+            c = FieldScalar._coerce(other)
+            return NotImplemented if c is None else self.scale(c)
         self._check(other)
+        n = self.n
+        d1, left = _int_pairs(self.terms)
+        d2, right = _int_pairs(other.terms)
+        right = [(cc, _pack(d) << (_DIGIT * n), p2, q2) for (cc, d), p2, q2 in right]
         acc = {}
-        for (a, b), c1 in self.terms.items():
-            for (cc, d), c2 in other.terms.items():
-                base = c1 * c2
-                for xs, ys, w in _exchange(b, cc):
-                    key = (tuple(map(add, a, xs)), tuple(map(add, ys, d)))
-                    p = base if w is None else base * w
+        for (a, b), p1, q1 in left:
+            xa = _pack(a)
+            for cc, yd, p2, q2 in right:
+                p = p1 * p2 + 2 * q1 * q2
+                q = p1 * q2 + q1 * p2
+                base = xa + yd
+                for key, w in _exchange(b, cc):
+                    key += base
                     s = acc.get(key)
-                    s = p if s is None else s + p
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+                    if s is None:
+                        acc[key] = [p * w, q * w]
+                    else:
+                        s[0] += p * w
+                        s[1] += q * w
+        den = d1 * d2
         out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = acc
+        out.n = n
+        out.terms = {_unpack(key, n): FieldScalar._raw(p, q, den)
+                     for key, (p, q) in acc.items() if p or q}
         return out
 
     __rmul__ = __mul__

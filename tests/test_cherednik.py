@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from spnil.field import FieldScalar, HALF, fs
-from spnil.poly import MultiPoly, monomials
+from spnil.poly import MultiPoly, divide_by_linear, monomials
 from spnil.splie import RootDatumC
 from spnil.weylosc import weight_zero_scalar
 from spnil.cherednik import (
@@ -101,6 +101,59 @@ def test_dunkl_closed_form_in_rank_one():
             # T t^m = (m - c (1 - (-1)^m)) t^(m-1)
             coeff = Fraction(m) - c * (1 - (-1) ** m)
             assert out == monomial(reg, (m - 1,)).scale(fs(coeff))
+
+
+def per_root_dunkl(direction, p, params):
+    """T_y p summed root by root over the divided differences of p itself."""
+    out = p.partial(direction)
+    for root in RootDatumC(len(p.registry)).positive_roots:
+        a_y = root.coeffs[direction]
+        if not a_y:
+            continue
+        diff = p - w_act(reflection(root), p)
+        if diff.is_zero():
+            continue
+        quot = divide_by_linear(diff, root_linear(root, p.registry))
+        out = out - quot.scale(params.value(root) * a_y)
+    return out
+
+
+def test_dunkl_table_matches_per_root_sums():
+    # dunkl_apply sums c T_y(t^e) from a per-monomial table
+    rng = random.Random(806)
+    root2 = Params.of(FieldScalar(0, 1), FieldScalar(Fraction(1, 3), Fraction(-1, 2)))
+    for n in (1, 2, 3):
+        reg = h_registry(n)
+        couplings = (SINGULAR, rand_params(rng), root2)
+        for _ in range(6):
+            p = MultiPoly.zero(reg)
+            for _ in range(rng.randint(1, 4)):
+                exp = tuple(rng.randint(0, 3) for _ in range(n))
+                c = fs(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                       Fraction(rng.randint(-2, 2), rng.randint(1, 5)))
+                p = p + MultiPoly(reg, {exp: c})
+            for direction in range(n):
+                for prm in couplings:
+                    assert dunkl_apply(direction, p, prm) == per_root_dunkl(direction, p, prm)
+
+
+def test_dunkl_table_keeps_couplings_and_results_apart():
+    reg = h_registry(2)
+    p = monomial(reg, (3, 1))
+    a, b = SINGULAR, Params.of(Fraction(2, 3), FieldScalar(0, 1))
+    out_a, out_b = dunkl_apply(0, p, a), dunkl_apply(0, p, b)
+    assert out_a == per_root_dunkl(0, p, a)
+    assert out_b == per_root_dunkl(0, p, b)
+    assert out_a != out_b
+    assert dunkl_apply(0, p, a) == out_a
+    # a caller that edits a result must not reach the shared table
+    out_a.terms.clear()
+    out_b.terms[(0, 0)] = fs(7)
+    assert dunkl_apply(0, p, a) == per_root_dunkl(0, p, a)
+    assert dunkl_apply(0, p, b) == per_root_dunkl(0, p, b)
+    scaled = dunkl_apply(0, p.scale(fs(3)), a)
+    scaled.terms.clear()
+    assert dunkl_apply(0, p, a) == per_root_dunkl(0, p, a)
 
 
 def test_dunkl_lowers_degree_by_one():

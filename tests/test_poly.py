@@ -105,3 +105,18 @@ def test_coefficient_lookup():
     p = a * b.scale(FieldScalar(Fraction(5, 2)))
     assert p.coefficient((1, 1, 0)) == fs(Fraction(5, 2))
     assert p.coefficient((2, 0, 0)) == FieldScalar(0)
+
+
+def test_int_fraction_and_field_scalars_as_operands():
+    x = MultiPoly.variable(("t1",), 0)
+    half = Fraction(1, 2)
+    for c, as_field in ((3, fs(3)), (half, fs(half)), (fs(half, 1), fs(half, 1))):
+        const = MultiPoly.constant(x.registry, as_field)
+        assert x * c == x.scale(as_field) == c * x
+        assert x + c == x + const
+        assert x - c == x - const
+    assert (x + half) - half == x
+    for bad in (0.5, None):
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: x - bad):
+            with pytest.raises(TypeError):
+                op()

@@ -190,6 +190,21 @@ def test_trusted_results_equal_checked_construction():
                     assert out._nonzero_rows() == tuple(
                         tuple((j, out[i, j]) for j in range(size) if out[i, j])
                         for i in range(size))
+        # +, - and scale keep the partner of a zero operand; on zero-heavy
+        # operands they must still equal the entrywise sums
+        zero = MatF.zero(size)
+        basis = sp_basis(n)
+        mats = [zero, *basis[:4], a, basis[0].scale(rand_scalar(rng)) + basis[-1]]
+        for x in mats:
+            for y in mats:
+                rows = list(zip(x.entries, y.entries))
+                plus = MatF([[u + v for u, v in zip(r, s)] for r, s in rows])
+                minus = MatF([[u - v for u, v in zip(r, s)] for r, s in rows])
+                assert x + y == plus and hash(x + y) == hash(plus)
+                assert x - y == minus and hash(x - y) == hash(minus)
+            for k, kf in ((0, ZERO), (ZERO, ZERO), (c, c), (1, ONE)):
+                naive = MatF([[kf * v for v in row] for row in x.entries])
+                assert x.scale(k) == naive and hash(x.scale(k)) == hash(naive)
 
 
 def test_is_sp_matches_the_j_matrix_definition():

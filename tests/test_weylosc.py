@@ -99,8 +99,10 @@ def rand_scalar(rng):
     return fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
 
 
-def per_index_product(p, q):
-    """Normal-ordered p * q, exchanging y^b with x^c one index at a time."""
+def per_index_terms(p, q):
+    """Terms of the normal-ordered p * q, exchanging y^b with x^c one index at
+    a time and accumulating FieldScalar sums; a coefficient that cancels is
+    dropped at once."""
     n = p.n
     acc = {}
     for (a, b), c1 in p.terms.items():
@@ -114,8 +116,16 @@ def per_index_product(p, q):
             for xs, ys, w in partial:
                 key = (tuple(u + v for u, v in zip(a, xs)),
                        tuple(u + v for u, v in zip(ys, d)))
-                acc[key] = acc.get(key, FieldScalar(0)) + c1 * c2 * fs(w)
-    return WeylElement(n, acc)
+                s = acc.get(key, FieldScalar(0)) + c1 * c2 * fs(w)
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+    return acc
+
+
+def per_index_product(p, q):
+    return WeylElement(p.n, per_index_terms(p, q))
 
 
 def test_weyl_product_matches_per_index_expansion():
@@ -136,6 +146,56 @@ def test_weyl_product_matches_per_index_expansion():
             assert uv * w == per_index_product(uv, w)
             assert w * uv == per_index_product(w, uv)
             assert uv.commutator(w) == per_index_product(uv, w) - per_index_product(w, uv)
+
+
+def test_integer_pair_product_stores_the_fieldscalar_sums():
+    # products accumulate integer pairs over one denominator per operand; the
+    # stored terms must be exactly the FieldScalar sums, with no zero kept
+    rng = random.Random(613)
+    third, fifth_root2 = fs(Fraction(1, 3)), fs(0, Fraction(1, 5))
+    for n in (1, 2, 3):
+        basis = sp_basis(n)
+        x = [WeylElement.xgen(n, i) for i in range(n)]
+        y = [WeylElement.ygen(n, i) for i in range(n)]
+        mixed = [x[0].scale(HALF) + y[-1].scale(third) + WeylElement.constant(n, fifth_root2),
+                 (x[-1] * y[0]).scale(fifth_root2) - x[0].scale(third) + y[0] * y[-1],
+                 x[0] + y[0], x[0] - y[0]]
+        images = []
+        for _ in range(3):
+            m = MatF.zero(2 * n)
+            for b in basis:
+                m = m + b.scale(rand_scalar(rng))
+            images.append(theta1(m))
+        pairs = [(u, v) for u in mixed + images for v in mixed + images]
+        pairs += [(x[i], x[j]) for i in range(n) for j in range(n)]
+        pairs += [(y[i], y[j]) for i in range(n) for j in range(n)]
+        for u, v in pairs:
+            uv = u * v
+            want = per_index_terms(u, v)
+            assert uv.terms == want
+            assert hash(uv) == hash(WeylElement(n, want))
+            assert all(c for c in uv.terms.values())
+            assert all(type(c) is FieldScalar for c in uv.terms.values())
+        # (x + y)(x - y) cancels x y inside one product
+        assert (x[0] + y[0]) * (x[0] - y[0]) == x[0] * x[0] - y[0] * y[0] + WeylElement.one(n)
+        for i in range(n):
+            for j in range(n):
+                assert x[i].commutator(x[j]).terms == {}
+                assert y[i].commutator(y[j]).terms == {}
+
+
+def test_int_fraction_and_field_scalars_as_operands():
+    x = WeylElement.xgen(1, 0)
+    half = Fraction(1, 2)
+    for c, as_field in ((3, fs(3)), (half, fs(half)), (fs(half, 1), fs(half, 1))):
+        const = WeylElement.constant(1, as_field)
+        assert x * c == x.scale(as_field) == c * x == x * const
+        assert x + c == x + const
+        assert x - c == x - const
+    for bad in (0.5, None):
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: x - bad):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_field_commutator_matches_dense_sums():
