@@ -20,13 +20,11 @@ from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 _ZERO = FieldScalar(0)
 
 
-# Products pack a monomial x^a y^b into one int, exponent k in 32-bit digit k
-# (x_1..x_n, then y_1..y_n).  Exponents are nonnegative and far below 2^32, so
-# digits never carry and multiplying monomials adds keys.
-_DIGIT = 32
-
-
 def _pack(exps):
+    """One int holding exps[k] in 32-bit digit k.  Products pack a monomial
+    x^a y^b as the tuple a + b (x_1..x_n, then y_1..y_n); exponents are
+    nonnegative and far below 2^32, so digits never carry and multiplying
+    monomials adds keys."""
     return int.from_bytes(struct.pack(f"<{len(exps)}I", *exps), "little")
 
 
@@ -164,7 +162,7 @@ class WeylElement:
         n = self.n
         d1, left = _int_pairs(self.terms)
         d2, right = _int_pairs(other.terms)
-        right = [(cc, _pack(d) << (_DIGIT * n), p2, q2) for (cc, d), p2, q2 in right]
+        right = [(cc, _pack((0,) * n + d), p2, q2) for (cc, d), p2, q2 in right]
         acc = {}
         for (a, b), p1, q1 in left:
             xa = _pack(a)
