@@ -12,7 +12,6 @@ from .poly import MultiPoly, divide_by_linear, monomials, count_monomials
 from .linalg import truncated_ideal_dim, sparse_rank
 from .splie import (
     MatF,
-    SymplecticVector,
     RootDatumC,
     sp_basis,
     sp_dim,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldScalar, ONE
-from .poly import MultiPoly, divide_by_linear
+from .poly import MultiPoly, _add_terms, divide_by_linear
 from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
 
@@ -75,7 +75,9 @@ class SignedPerm:
 
 
 def w_act(w, p):
-    """Action on polynomials: t_i -> signs[i] t_perm[i], extended to terms."""
+    """Action on polynomials: t_i -> signs[i] t_perm[i], extended to terms.
+    A signed permutation sends distinct monomials to distinct monomials, so
+    each term lands on its own key."""
     n = len(p.registry)
     if len(w.perm) != n:
         raise ValueError("rank mismatch")
@@ -85,18 +87,11 @@ def w_act(w, p):
         flip = 1
         for i, e in enumerate(exp):
             if e:
-                out[w.perm[i]] += e
+                out[w.perm[i]] = e
                 if w.signs[i] < 0 and e % 2:
                     flip = -flip
-        key = tuple(out)
-        val = c if flip > 0 else -c
-        s = terms.get(key)
-        s = val if s is None else s + val
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    return MultiPoly(p.registry, terms)
+        terms[tuple(out)] = c if flip > 0 else -c
+    return MultiPoly._of(p.registry, terms)
 
 
 def reflection(root):
@@ -156,18 +151,10 @@ def _dunkl_monomial(direction, registry, exp, params):
 def dunkl_apply(direction, p, params):
     """Dunkl operator in coordinate direction e_direction applied to p: T_y
     is linear, so it is the sum of c T_y(t^e) over the terms c t^e of p."""
-    acc = {}
-    for exp, c in p.terms.items():
-        image = _dunkl_monomial(direction, p.registry, exp, params).terms
-        for key, v in image.items():
-            t = v if c == ONE else c * v
-            s = acc.get(key)
-            s = t if s is None else s + t
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return MultiPoly(p.registry, acc)
+    return MultiPoly._of(p.registry, _add_terms({}, (
+        (key, v if c == ONE else c * v)
+        for exp, c in p.terms.items()
+        for key, v in _dunkl_monomial(direction, p.registry, exp, params).terms.items())))
 
 
 def check_hc_relation(x_idx, y_idx, p, params):

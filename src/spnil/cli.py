@@ -96,6 +96,11 @@ def _check(name, params, expected, actual, passed):
     }
 
 
+def _tally(name, params, bad, noun, expected=None):
+    """A check that counts its bad cases: it passes when there are none."""
+    return _check(name, params, expected or f"0 {noun}", f"{bad} {noun}", bad == 0)
+
+
 def _report(command, n, seed, checks):
     return {
         "command": command,
@@ -138,15 +143,8 @@ def _homomorphism_checks(name, theta, n):
             total += 1
             if theta(bracket(a, b)) != images[i].commutator(images[j]):
                 bad += 1
-    return [
-        _check(
-            f"{name} bracket homomorphism",
-            {"n": n, "basis_pairs": total},
-            "0 mismatches",
-            f"{bad} mismatches",
-            bad == 0,
-        )
-    ]
+    return [_tally(f"{name} bracket homomorphism", {"n": n, "basis_pairs": total},
+                   bad, "mismatches")]
 
 
 def suite_theta1_hom(n, rng, trials):
@@ -191,29 +189,16 @@ def suite_weyl(n, rng, trials):
                 bad += 1
             if WeylElement.ygen(n, i).commutator(WeylElement.ygen(n, j)) != WeylElement.zero(n):
                 bad += 1
-    checks.append(
-        _check(
-            "canonical commutation relations",
-            {"n": n, "generator_pairs": 3 * n * n},
-            "[y_i,x_j]=delta, generators of equal kind commute",
-            f"{bad} violations",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("canonical commutation relations", {"n": n, "generator_pairs": 3 * n * n},
+                         bad, "violations", "[y_i,x_j]=delta, generators of equal kind commute"))
 
     bad = 0
     for b in sp_basis(n):
         if theta1(b) != symmetrize_quadratic(classical_comoment(b)):
             bad += 1
-    checks.append(
-        _check(
-            "theta1 equals symmetrized classical co-moment",
-            {"n": n, "basis_size": sp_dim(n)},
-            "agreement on every basis element",
-            f"{bad} mismatches",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("theta1 equals symmetrized classical co-moment",
+                         {"n": n, "basis_size": sp_dim(n)},
+                         bad, "mismatches", "agreement on every basis element"))
 
     bad = 0
     for _ in range(trials):
@@ -227,15 +212,8 @@ def suite_weyl(n, rng, trials):
             bad += 1
         if (u * v) * w != u * (v * w):
             bad += 1
-    checks.append(
-        _check(
-            "even subalgebra, filtration, associativity",
-            {"n": n, "trials": trials},
-            "0 violations",
-            f"{bad} violations",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("even subalgebra, filtration, associativity",
+                         {"n": n, "trials": trials}, bad, "violations"))
 
     bad = 0
     for _ in range(trials):
@@ -250,15 +228,9 @@ def suite_weyl(n, rng, trials):
             weights.append(weight)
         if (exp == (-1,) * n) != all(not w for w in weights):
             bad += 1
-    checks.append(
-        _check(
-            "h-weights on the oscillator module",
-            {"n": n, "trials": trials},
-            "monomial weight (e_i+1)/2; zero weight only on the vacuum",
-            f"{bad} violations",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("h-weights on the oscillator module", {"n": n, "trials": trials},
+                         bad, "violations",
+                         "monomial weight (e_i+1)/2; zero weight only on the vacuum"))
     return checks
 
 
@@ -287,15 +259,8 @@ def suite_dunkl(n, rng, trials):
             total += 1
             if not dunkl_commute(i, j, p, prm):
                 bad += 1
-        checks.append(
-            _check(
-                "Dunkl operators commute",
-                {"n": n, "coupling": label, "trials": total},
-                "0 failures",
-                f"{bad} failures",
-                bad == 0,
-            )
-        )
+        checks.append(_tally("Dunkl operators commute",
+                             {"n": n, "coupling": label, "trials": total}, bad, "failures"))
     return checks
 
 
@@ -314,15 +279,8 @@ def suite_relation(n, rng, trials):
                     total += 1
                     if not check_hc_relation(x_idx, y_idx, p, prm):
                         bad += 1
-        checks.append(
-            _check(
-                "commutator relation [T_y, t_x]",
-                {"n": n, "coupling": label, "cases": total},
-                "0 failures",
-                f"{bad} failures",
-                bad == 0,
-            )
-        )
+        checks.append(_tally("commutator relation [T_y, t_x]",
+                             {"n": n, "coupling": label, "cases": total}, bad, "failures"))
     return checks
 
 
@@ -380,15 +338,8 @@ def suite_equivariance(n, rng, trials):
         right = g @ moment2(SchemePoint(n, x, y, tuple(vec))) @ ginv
         if left != right:
             bad += 1
-    checks.append(
-        _check(
-            "moment map equivariance under unipotent conjugation",
-            {"n": n, "trials": trials},
-            "0 failures",
-            f"{bad} failures",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("moment map equivariance under unipotent conjugation",
+                         {"n": n, "trials": trials}, bad, "failures"))
 
     bad = 0
     for _ in range(trials):
@@ -402,15 +353,8 @@ def suite_equivariance(n, rng, trials):
         rhs = half * omega(m.apply(vec), vec)
         if lhs != rhs:
             bad += 1
-    checks.append(
-        _check(
-            "square map equivariance and pairing identity",
-            {"n": n, "trials": trials},
-            "0 failures",
-            f"{bad} failures",
-            bad == 0,
-        )
-    )
+    checks.append(_tally("square map equivariance and pairing identity",
+                         {"n": n, "trials": trials}, bad, "failures"))
     return checks
 
 

@@ -124,7 +124,7 @@ def nilpotent_rep(lam):
         p_rows[idx][n + t] = sign
 
     pmat = MatF(p_rows)
-    pinv = MatF(linalg.inverse(pmat.entries))
+    pinv = pmat.transpose()  # a signed permutation matrix is orthogonal
     e_std = pinv @ MatF(e_abs) @ pmat
     require_sp(e_std)
     return e_std

@@ -17,6 +17,31 @@ def grlex_key(exp):
     return (sum(exp), exp)
 
 
+def _scalar(c):
+    """c as a FieldScalar; anything but an int, Fraction or FieldScalar is
+    refused, so term dicts hold field scalars only."""
+    s = FieldScalar._coerce(c)
+    if s is None:
+        raise TypeError(f"coefficient {c!r} is not an exact scalar of Q(sqrt2)")
+    return s
+
+
+def _add_terms(acc, items):
+    """Add each (key, coefficient) of items into the dict acc in place, the
+    one accumulation rule of every sparse term dict: a key whose sum is zero
+    is deleted and a zero is never inserted.  Returns acc."""
+    get = acc.get
+    for key, c in items:
+        s = get(key)
+        if s is not None:
+            c = s + c
+        if c:
+            acc[key] = c
+        elif s is not None:
+            del acc[key]
+    return acc
+
+
 class MultiPoly:
     __slots__ = ("registry", "terms")
 
@@ -28,9 +53,19 @@ class MultiPoly:
             for exp, c in terms.items():
                 if len(exp) != width:
                     raise ValueError("exponent width does not match registry")
+                c = _scalar(c)
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, registry, terms):
+        """Trusted constructor: registry is a tuple and terms hold nonzero
+        FieldScalars on exponent tuples of its width."""
+        p = object.__new__(cls)
+        p.registry = registry
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -88,57 +123,29 @@ class MultiPoly:
                 return NotImplemented
             other = MultiPoly.constant(self.registry, c)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s:
-                terms[exp] = s
-            elif exp in terms:
-                del terms[exp]
-        out = MultiPoly.__new__(MultiPoly)
-        out.registry = self.registry
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.registry, _add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.registry = self.registry
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._of(self.registry, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c):
         c = c if isinstance(c, FieldScalar) else FieldScalar(c)
         if not c:
             return MultiPoly(self.registry)
-        out = MultiPoly.__new__(MultiPoly)
-        out.registry = self.registry
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        return MultiPoly._of(self.registry, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = FieldScalar._coerce(other)
             return NotImplemented if c is None else self.scale(c)
         self._check(other)
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                s = acc.get(exp)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    acc[exp] = s
-                elif exp in acc:
-                    del acc[exp]
-        out = MultiPoly.__new__(MultiPoly)
-        out.registry = self.registry
-        out.terms = acc
-        return out
+        right = other.terms.items()
+        return MultiPoly._of(self.registry, _add_terms({}, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in right)))
 
     __rmul__ = __mul__
 
@@ -169,7 +176,7 @@ class MultiPoly:
             e = list(exp)
             e[idx] = k - 1
             terms[tuple(e)] = c * k
-        return MultiPoly(self.registry, terms)
+        return MultiPoly._of(self.registry, terms)
 
     def eval(self, values):
         """Evaluate at a full vector of FieldScalar values."""
@@ -208,7 +215,7 @@ class MultiPoly:
             for i, k in enumerate(exp):
                 e[positions[i]] = k
             terms[tuple(e)] = c
-        return MultiPoly(registry, terms)
+        return MultiPoly._of(registry, terms)
 
     def __str__(self):
         if not self.terms:
@@ -273,13 +280,8 @@ def divide_by_linear(p, l):
         qexp = list(exp)
         qexp[piv] -= 1
         qexp = tuple(qexp)
-        quot[qexp] = quot.get(qexp, _ZERO) + c
-        # subtract c * qexp * l
-        for lexp, lc in l.terms.items():
-            texp = tuple(a + b for a, b in zip(qexp, lexp))
-            s = rem.get(texp, _ZERO) - c * lc
-            if s:
-                rem[texp] = s
-            elif texp in rem:
-                del rem[texp]
-    return MultiPoly(p.registry, quot)
+        # exp leads rem and is the leading term of qexp * l, so subtracting
+        # c * qexp * l lowers the lead of rem: each qexp comes up once
+        quot[qexp] = c
+        _add_terms(rem, ((tuple(map(add, qexp, lexp)), -c * lc) for lexp, lc in l.terms.items()))
+    return MultiPoly._of(p.registry, quot)

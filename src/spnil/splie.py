@@ -136,32 +136,6 @@ class MatF:
     __repr__ = __str__
 
 
-class SymplecticVector:
-    """Vector in V = F^(2n) with the standard symplectic pairing."""
-
-    __slots__ = ("n", "coords")
-
-    def __init__(self, coords):
-        self.coords = tuple(_coerce(v) for v in coords)
-        if len(self.coords) % 2 != 0:
-            raise ValueError("symplectic vectors have even length")
-        self.n = len(self.coords) // 2
-
-    def __eq__(self, other):
-        if not isinstance(other, SymplecticVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def is_zero(self):
-        return all(not v for v in self.coords)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(v) for v in self.coords) + ")"
-
-
 def omega_matrix(n):
     rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -172,8 +146,8 @@ def omega_matrix(n):
 
 def omega(u, v):
     """Standard symplectic pairing u^T J v on coordinate vectors."""
-    cu = u.coords if isinstance(u, SymplecticVector) else tuple(_coerce(x) for x in u)
-    cv = v.coords if isinstance(v, SymplecticVector) else tuple(_coerce(x) for x in v)
+    cu = tuple(_coerce(x) for x in u)
+    cv = tuple(_coerce(x) for x in v)
     if len(cu) != len(cv) or len(cu) % 2:
         raise ValueError("size mismatch")
     n = len(cu) // 2
@@ -233,7 +207,7 @@ def raw_square(v):
     Pairing: trace_pair(-1/2 * raw_square(v), x) = 1/2 * omega(x v, v),
     the quadratic co-moment value of x at v.
     """
-    coords = v.coords if isinstance(v, SymplecticVector) else [_coerce(x) for x in v]
+    coords = [_coerce(x) for x in v]
     m = len(coords)
     if m % 2:
         raise ValueError("vector must have even length")

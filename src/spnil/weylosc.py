@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .field import FieldScalar, ONE, HALF
-from .poly import MultiPoly
+from .poly import MultiPoly, _add_terms, _scalar
 from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
@@ -71,9 +71,19 @@ class WeylElement:
                     raise ValueError("exponent width does not match n")
                 if any(k < 0 for k in xe) or any(k < 0 for k in ye):
                     raise ValueError("negative exponent")
+                c = _scalar(c)
                 if c:
                     clean[(tuple(xe), tuple(ye))] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n, terms):
+        """Trusted constructor: terms hold nonzero FieldScalars on
+        (x-exponents, y-exponents) tuple pairs of width n."""
+        w = object.__new__(cls)
+        w.n = n
+        w.terms = terms
+        return w
 
     @classmethod
     def zero(cls, n):
@@ -129,25 +139,17 @@ class WeylElement:
                 return NotImplemented
             other = WeylElement.constant(self.n, c)
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return WeylElement(self.n, terms)
+        return WeylElement._of(self.n, _add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return WeylElement(self.n, {k: -c for k, c in self.terms.items()})
+        return WeylElement._of(self.n, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         c = c if isinstance(c, FieldScalar) else FieldScalar(c)
-        return WeylElement(self.n, {k: c * v for k, v in self.terms.items()})
+        return WeylElement._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __mul__(self, other):
         """Normal-ordered product via y^b x^c = sum_k k! C(b,k) C(c,k) x^(c-k) y^(b-k).
@@ -179,11 +181,8 @@ class WeylElement:
                         s[0] += p * w
                         s[1] += q * w
         den = d1 * d2
-        out = WeylElement.__new__(WeylElement)
-        out.n = n
-        out.terms = {_unpack(key, n): FieldScalar._raw(p, q, den)
-                     for key, (p, q) in acc.items() if p or q}
-        return out
+        return WeylElement._of(n, {_unpack(key, n): FieldScalar._raw(p, q, den)
+                                   for key, (p, q) in acc.items() if p or q})
 
     __rmul__ = __mul__
 
@@ -285,48 +284,35 @@ def theta1(m):
     """
     require_sp(m)
     n = m.size // 2
-    terms = {}
+    e = m.entries
     z = (0,) * n
 
-    def bump(xe, ye, c):
-        key = (xe, ye)
-        s = terms.get(key, _ZERO) + c
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
+    def mono(*idx):
+        exps = [0] * n
+        for i in idx:
+            exps[i] += 1
+        return tuple(exps)
 
-    tr_a = _ZERO
-    for i in range(n):
-        tr_a = tr_a + m.entries[i][i]
-        for j in range(n):
-            a = m.entries[i][j]
-            if a:
-                xe, ye = [0] * n, [0] * n
-                xe[i] += 1
-                ye[j] += 1
-                bump(tuple(xe), tuple(ye), a)
-            b = m.entries[i][n + j]
-            if b:
-                xe = [0] * n
-                xe[i] += 1
-                xe[j] += 1
-                bump(tuple(xe), z, b * HALF)
-            cij = m.entries[n + i][j]
-            if cij:
-                ye = [0] * n
-                ye[i] += 1
-                ye[j] += 1
-                bump(z, tuple(ye), -cij * HALF)
-    if tr_a:
-        bump(z, z, tr_a * HALF)
-    return WeylElement(n, terms)
+    def terms():
+        for i in range(n):
+            for j in range(n):
+                if e[i][j]:
+                    yield (mono(i), mono(j)), e[i][j]
+                if e[i][n + j]:
+                    yield (mono(i, j), z), e[i][n + j] * HALF
+                if e[n + i][j]:
+                    yield (z, mono(i, j)), -e[n + i][j] * HALF
+        tr_a = sum((e[i][i] for i in range(n)), _ZERO)
+        if tr_a:
+            yield (z, z), tr_a * HALF
+
+    return WeylElement._of(n, _add_terms({}, terms()))
 
 
 class LinearVectorField:
     """Derivation of the coordinate ring of sp(2n) with linear coefficients.
 
-    Stored as the matrix of the induced map on basis labels: column k holds
+    Stored as the MatF of the induced map on basis labels: column k holds
     the sp_basis coordinates of the image of coordinate k, so commutators of
     fields are plain matrix commutators.
     """
@@ -335,16 +321,16 @@ class LinearVectorField:
 
     def __init__(self, n, mat):
         self.n = n
-        self.mat = [list(row) for row in mat]
+        self.mat = mat if isinstance(mat, MatF) else MatF(mat)
 
     def commutator(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return LinearVectorField(self.n, bracket(MatF(self.mat), MatF(other.mat)).entries)
+        return LinearVectorField(self.n, bracket(self.mat, other.mat))
 
     def apply(self, p):
         """Act as a derivation on a polynomial in the sp coordinate registry."""
-        size = len(self.mat)
+        size = self.mat.size
         if len(p.registry) != size:
             raise ValueError("registry does not match sp dimension")
         out = MultiPoly.zero(p.registry)
@@ -354,8 +340,9 @@ class LinearVectorField:
                 continue
             image = MultiPoly.zero(p.registry)
             for l in range(size):
-                if self.mat[l][k]:
-                    image = image + MultiPoly.variable(p.registry, l).scale(self.mat[l][k])
+                c = self.mat.entries[l][k]
+                if c:
+                    image = image + MultiPoly.variable(p.registry, l).scale(c)
             out = out + dk * image
         return out
 
@@ -365,7 +352,7 @@ class LinearVectorField:
         return self.n == other.n and self.mat == other.mat
 
     def __hash__(self):
-        return hash((self.n, tuple(tuple(r) for r in self.mat)))
+        return hash((self.n, self.mat))
 
 
 def theta0(m):
@@ -373,7 +360,7 @@ def theta0(m):
     b -> [m, b], which makes the assignment a Lie algebra homomorphism."""
     require_sp(m)
     n = m.size // 2
-    return LinearVectorField(n, ad_matrix(m, n))
+    return LinearVectorField(n, MatF._of(ad_matrix(m, n)))
 
 
 class OscVector:
@@ -391,9 +378,19 @@ class OscVector:
                     raise ValueError("exponent width does not match n")
                 if any(e % 2 == 0 for e in exp):
                     raise ValueError("doubled exponents must be odd")
+                c = _scalar(c)
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n, terms):
+        """Trusted constructor: terms hold nonzero FieldScalars on doubled
+        odd exponent tuples of width n."""
+        v = object.__new__(cls)
+        v.n = n
+        v.terms = terms
+        return v
 
     @classmethod
     def vacuum(cls, n):
@@ -405,22 +402,14 @@ class OscVector:
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s:
-                terms[exp] = s
-            elif exp in terms:
-                del terms[exp]
-        return OscVector(self.n, terms)
+        return OscVector._of(self.n, _add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(FieldScalar(-1))
 
     def scale(self, c):
         c = c if isinstance(c, FieldScalar) else FieldScalar(c)
-        return OscVector(self.n, {k: c * v for k, v in self.terms.items()})
+        return OscVector._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other):
         if not isinstance(other, OscVector):
@@ -444,29 +433,21 @@ def osc_apply(w, vec):
     if w.n != vec.n:
         raise ValueError("rank mismatch")
     n = w.n
-    acc = {}
-    for (xe, ye), c in w.terms.items():
-        for exp, a in vec.terms.items():
-            num = 1
-            shift = 0
-            for i in range(n):
-                b = ye[i]
-                e = exp[i]
-                for j in range(b):
-                    num *= e - 2 * j
-                shift += b
-            mult = FieldScalar(Fraction(num, 2 ** shift))
-            coeff = c * a * mult
-            if not coeff:
-                continue
-            new = tuple(e - 2 * ye[i] + 2 * xe[i] for i, e in enumerate(exp))
-            s = acc.get(new)
-            s = coeff if s is None else s + coeff
-            if s:
-                acc[new] = s
-            elif new in acc:
-                del acc[new]
-    return OscVector(n, acc)
+
+    def terms():
+        # y_i^b lowers the doubled exponent e by 2b with the factor
+        # e/2 (e/2 - 1) ... (e/2 - b + 1); x_i^a raises it by 2a
+        for (xe, ye), c in w.terms.items():
+            for exp, a in vec.terms.items():
+                num = 1
+                for i in range(n):
+                    for j in range(ye[i]):
+                        num *= exp[i] - 2 * j
+                if num:
+                    yield (tuple(e - 2 * ye[i] + 2 * xe[i] for i, e in enumerate(exp)),
+                           c * a * FieldScalar(Fraction(num, 2 ** sum(ye))))
+
+    return OscVector._of(n, _add_terms({}, terms()))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spnil.field import FieldScalar, ONE, fs
-from spnil.poly import MultiPoly, count_monomials, divide_by_linear, monomials
+from spnil.poly import MultiPoly, _add_terms, count_monomials, divide_by_linear, monomials
 
 REG = ("a", "b", "c")
 
@@ -120,3 +120,16 @@ def test_int_fraction_and_field_scalars_as_operands():
         for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: x - bad):
             with pytest.raises(TypeError):
                 op()
+
+
+def test_add_terms_updates_in_place_and_drops_zero_sums():
+    acc = {"a": fs(1), "b": 2}
+    items = [("a", fs(-1)), ("b", fs(1)), ("c", 0), ("d", fs(0)),
+             ("e", 5), ("b", 1), ("f", 3), ("f", -3)]
+    assert _add_terms(acc, iter(items)) is acc
+    # "a" cancelled and was deleted, the zeros "c" and "d" never went in,
+    # "f" went in and cancelled; int + FieldScalar sums are FieldScalars
+    assert acc == {"b": fs(4), "e": 5}
+    assert type(acc["b"]) is FieldScalar and type(acc["e"]) is int
+    assert _add_terms(acc, [("a", fs(2)), ("e", -5)]) == {"b": fs(4), "a": fs(2)}
+    assert _add_terms({}, []) == {}

@@ -91,8 +91,7 @@ def test_theta0_is_a_lie_homomorphism():
         images = [theta0(b) for b in basis]
         for (a, ta), (b, tb) in itertools.combinations(zip(basis, images), 2):
             assert ta.commutator(tb) == theta0(bracket(a, b))
-        assert theta0(MatF.zero(2 * n)).mat == [
-            [FieldScalar(0)] * sp_dim(n) for _ in range(sp_dim(n))]
+        assert theta0(MatF.zero(2 * n)).mat == MatF.zero(sp_dim(n))
 
 
 def rand_scalar(rng):
@@ -198,6 +197,25 @@ def test_int_fraction_and_field_scalars_as_operands():
                 op()
 
 
+def test_term_containers_hold_field_scalars_only():
+    from spnil.poly import MultiPoly
+
+    makers = (lambda c: MultiPoly(("x",), {(1,): c}),
+              lambda c: WeylElement(1, {((1,), (0,)): c}),
+              lambda c: OscVector(1, {(1,): c}))
+    for make in makers:
+        for bad in (0.5, "2", None):
+            with pytest.raises(TypeError):
+                make(bad)
+        two, twin = make(2), make(fs(2))
+        assert two == twin and hash(two) == hash(twin) and len({two, twin}) == 1
+        assert [type(c) for c in two.terms.values()] == [FieldScalar]
+        assert make(Fraction(1, 2)) == make(fs(Fraction(1, 2)))
+        assert make(0).terms == {}
+    x2 = MultiPoly(("x",), {(1,): 2})
+    assert [type(c) for c in (x2 * x2).terms.values()] == [FieldScalar]
+
+
 def test_field_commutator_matches_dense_sums():
     rng = random.Random(612)
     for n in (1, 2):
@@ -207,7 +225,7 @@ def test_field_commutator_matches_dense_sums():
                       for _ in range(size)] for _ in range(size)] for _ in range(2)]
             want = [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(size)),
                          FieldScalar(0)) for j in range(size)] for i in range(size)]
-            assert LinearVectorField(n, a).commutator(LinearVectorField(n, b)).mat == want
+            assert LinearVectorField(n, a).commutator(LinearVectorField(n, b)).mat == MatF(want)
 
 
 def test_theta0_moves_root_coordinates_by_their_weight():
