@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldScalar, ONE
-from .poly import MultiPoly, _add_terms, divide_by_linear
+from .poly import MultiPoly, _add_terms, _scalar, divide_by_linear
 from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
 
@@ -32,10 +32,7 @@ class Params:
 
     @classmethod
     def of(cls, c_long, c_short):
-        return cls(
-            c_long if isinstance(c_long, FieldScalar) else FieldScalar(c_long),
-            c_short if isinstance(c_short, FieldScalar) else FieldScalar(c_short),
-        )
+        return cls(_scalar(c_long), _scalar(c_short))
 
     def value(self, root):
         return self.c_long if root.length == "long" else self.c_short

@@ -18,7 +18,6 @@ from .splie import (
     bracket,
     centralizer_dim,
     is_nilpotent,
-    mat_from_coords,
     raw_square,
     require_sp,
     sp_basis,
@@ -56,13 +55,6 @@ def component_types(n):
 def _flat(m):
     """Entries of a matrix, row by row."""
     return [v for row in m.entries for v in row]
-
-
-def _solve_in_basis(columns, rhs):
-    """Solve sum_k c_k columns[k] = rhs for flattened matrices."""
-    if not columns:
-        return None if any(rhs) else []
-    return linalg.solve(list(zip(*columns)), rhs)
 
 
 def _ad_flat(y, n):
@@ -138,75 +130,49 @@ class Sl2Triple:
 
 
 def sl2_complete(e):
-    """Complete a nilpotent e in sp(2n) to an sl2 triple (e, f, h).
+    """Complete a canonical nilpotent e in sp(2n) to its sl2 triple (e, f, h).
 
-    First tries h diagonal and inside the image of ad_e (both linear
-    conditions); that recovers the integer diagonal h of the canonical
-    representatives.  Otherwise h = [e, w] with [[e, w], e] = 2e.  Then f
-    solves [e, f] = h, [h, f] = -2f, and all relations are re-verified.
-    The f of a triple is unique given e and h (Kostant), so with h diagonal,
-    where every basis element is an ad h eigenvector, f is solved for on the
-    weight -2 elements alone.
+    e must have at most one nonzero entry in each row and column, as every
+    nilpotent_rep has; it then sends the coordinate vectors along chains
+    v_0 -> ... -> v_(d-1) with e v_k = s_k v_(k+1).  h is diagonal with
+    weight 2k+1-d at v_k, and f v_(k+1) = (k+1)(d-1-k)/s_k v_k, the only f
+    for that e and h (Kostant).  Any other e raises ValueError, and all three
+    relations are re-verified.
     """
     require_sp(e)
     if not is_nilpotent(e):
         raise ValueError("input is not nilpotent")
-    n = e.size // 2
-    basis = sp_basis(n)
-    diag = basis[:n]  # H_i = E_ii - E_(n+i)(n+i)
-    two_e = _flat(e.scale(2))
-    zero = [_ZERO] * len(two_e)
-    e_b = [bracket(e, b) for b in basis]
+    size = e.size
+    rows = e._nonzero_rows()
+    step = {j: (i, s) for i, row in enumerate(rows) for j, s in row}  # e v_j = s v_i
+    if any(len(row) > 1 for row in rows) or len(step) < sum(map(len, rows)):
+        raise ValueError("input is not in Jordan chain form")
 
-    cols = [_flat(bracket(hb, e)) + _flat(hb) for hb in diag]
-    cols += [zero + _flat(-eb) for eb in e_b]
-    sol = _solve_in_basis(cols, two_e + zero)
-    if sol is not None:
-        h = mat_from_coords(sol[:n], n)
-        lowering = [k for k, b in enumerate(basis) if _weight(b, h) == -2]
-        sol = _solve_in_basis([_flat(e_b[k]) for k in lowering], _flat(h))
-        if sol is not None:
-            by_index = dict(zip(lowering, sol))
-            sol = [by_index.get(k, _ZERO) for k in range(len(basis))]
-    else:
-        cols = [_flat(bracket(eb, e)) for eb in e_b]
-        sol = _solve_in_basis(cols, two_e)
-        if sol is None:
-            raise ValueError("no sl2 completion found")
-        h = bracket(e, mat_from_coords(sol, n))
-        cols = [_flat(eb) + _flat(bracket(h, b) + b.scale(2))
-                for eb, b in zip(e_b, basis)]
-        sol = _solve_in_basis(cols, _flat(h) + zero)
-    if sol is None:
-        raise ValueError("no sl2 completion found")
-    f = mat_from_coords(sol, n)
+    h_rows = [[_ZERO] * size for _ in range(size)]
+    f_rows = [[_ZERO] * size for _ in range(size)]
+    targets = {i for i, _ in step.values()}
+    for head in range(size):
+        if head in targets:
+            continue
+        chain = [head]
+        while chain[-1] in step:
+            chain.append(step[chain[-1]][0])
+        d = len(chain)
+        for k, v in enumerate(chain):
+            h_rows[v][v] = FieldScalar(2 * k + 1 - d)
+            if k + 1 < d:
+                f_rows[v][chain[k + 1]] = FieldScalar((k + 1) * (d - 1 - k)) / step[v][1]
+    h, f = MatF._of(h_rows), MatF._of(f_rows)
 
     if bracket(h, e) != e.scale(2) or bracket(h, f) != f.scale(-2) or bracket(e, f) != h:
         raise ValueError("sl2 relations failed to close")
     return Sl2Triple(e=e, f=f, h=h)
 
 
-def _weight(b, h):
-    """ad h eigenvalue h_ii - h_jj of a basis element b with diagonal h, read
-    at its first nonzero entry (i, j)."""
-    i, j = next((i, row[0][0]) for i, row in enumerate(b._nonzero_rows()) if row)
-    return h.entries[i][i] - h.entries[j][j]
-
-
-def _weight_spaces(h):
-    """Integer eigenspace bases of h on V; raises if they do not fill V."""
-    size = h.size
-    ident = MatF.identity(size)
-    spaces = {}
-    total = 0
-    for m in range(-size + 1, size):
-        basis = linalg.nullspace((h - ident.scale(m)).entries)
-        if basis:
-            spaces[m] = basis
-            total += len(basis)
-    if total != size:
-        raise ValueError("h is not diagonalizable with integer spectrum")
-    return spaces
+def positive_slots(h):
+    """Coordinates of V on which the diagonal h is positive; their unit
+    vectors span the positive weight space V_+."""
+    return tuple(i for i in range(h.size) if h.entries[i][i].sign() > 0)
 
 
 @dataclass(frozen=True)
@@ -228,9 +194,7 @@ def census(n):
     rows = []
     for lam in partitions_spn(n):
         e = nilpotent_rep(lam)
-        triple = sl2_complete(e)
-        spaces = _weight_spaces(triple.h)
-        vplus = sum(len(v) for m, v in spaces.items() if m > 0)
+        vplus = len(positive_slots(sl2_complete(e).h))
         rows.append(
             CensusRow(
                 partition=lam,
@@ -248,18 +212,15 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     sp exactly when v lies in the positive weight space of the triple of y."""
     require_sp(y)
     n = y.size // 2
-    triple = sl2_complete(y)
-    spaces = _weight_spaces(triple.h)
-    vplus = [v for m, vs in spaces.items() if m > 0 for v in vs]
-    vrest = [v for m, vs in spaces.items() if m <= 0 for v in vs]
+    plus = positive_slots(sl2_complete(y).h)
+    rest = tuple(i for i in range(2 * n) if i not in plus)
     # x solves [x, y] = -raw_square(v) exactly when -x solves [y, x] = ...
     mat = _ad_flat(y, n)
 
-    def combo(vectors, coeffs):
+    def combo(slots, coeffs):
         out = [_ZERO] * (2 * n)
-        for c, vec in zip(coeffs, vectors):
-            if c:
-                out = [a + vec_i * c for a, vec_i in zip(out, vec)]
+        for i, c in zip(slots, coeffs):
+            out[i] = c
         return out
 
     def solvable(v):
@@ -268,18 +229,18 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):
-        if vplus:
-            coeffs = [FieldScalar(rng.randint(-3, 3)) for _ in vplus]
+        if plus:
+            coeffs = [FieldScalar(rng.randint(-3, 3)) for _ in plus]
             if all(not c for c in coeffs):
                 coeffs[rng.randrange(len(coeffs))] = FieldScalar(1)
-            ok = ok and solvable(combo(vplus, coeffs))
+            ok = ok and solvable(combo(plus, coeffs))
         else:
             ok = ok and solvable([_ZERO] * (2 * n))
-        coeffs = [FieldScalar(rng.randint(-2, 2)) for _ in vplus + vrest]
-        forced = len(vplus) + rng.randrange(len(vrest))
+        coeffs = [FieldScalar(rng.randint(-2, 2)) for _ in plus + rest]
+        forced = len(plus) + rng.randrange(len(rest))
         if not coeffs[forced]:
             coeffs[forced] = FieldScalar(rng.choice([1, -1]) * rng.randint(1, 2))
-        ok = ok and not solvable(combo(vplus + vrest, coeffs))
+        ok = ok and not solvable(combo(plus + rest, coeffs))
     return ok
 
 

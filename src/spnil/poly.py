@@ -75,7 +75,6 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, registry, c):
-        c = c if isinstance(c, FieldScalar) else FieldScalar(c)
         return cls(registry, {(0,) * len(tuple(registry)): c})
 
     @classmethod
@@ -132,7 +131,7 @@ class MultiPoly:
         return MultiPoly._of(self.registry, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c):
-        c = c if isinstance(c, FieldScalar) else FieldScalar(c)
+        c = _scalar(c)
         if not c:
             return MultiPoly(self.registry)
         return MultiPoly._of(self.registry, {e: c * v for e, v in self.terms.items()})

@@ -30,7 +30,7 @@ from .splie import (
     trace_pair,
 )
 from .weylosc import classical_comoment
-from .orbits import _ad_flat, _flat, nilpotent_rep, sl2_complete
+from .orbits import _ad_flat, _flat, nilpotent_rep, positive_slots, sl2_complete
 
 _ZERO = FieldScalar(0)
 
@@ -253,8 +253,7 @@ def _rep_and_positive_slots(lam):
     """Canonical representative of type lam and the coordinates of V on
     which the diagonal h of its sl2 triple is positive."""
     e = nilpotent_rep(lam)
-    h = sl2_complete(e).h
-    return e, tuple(i for i in range(e.size) if h.entries[i][i].sign() > 0)
+    return e, positive_slots(sl2_complete(e).h)
 
 
 def sample_xnil_point(lam, seed=0):

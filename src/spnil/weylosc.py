@@ -95,7 +95,6 @@ class WeylElement:
 
     @classmethod
     def constant(cls, n, c):
-        c = c if isinstance(c, FieldScalar) else FieldScalar(c)
         z = (0,) * n
         return cls(n, {(z, z): c})
 
@@ -148,7 +147,7 @@ class WeylElement:
         return WeylElement._of(self.n, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = c if isinstance(c, FieldScalar) else FieldScalar(c)
+        c = _scalar(c)
         return WeylElement._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __mul__(self, other):
@@ -408,7 +407,7 @@ class OscVector:
         return self + other.scale(FieldScalar(-1))
 
     def scale(self, c):
-        c = c if isinstance(c, FieldScalar) else FieldScalar(c)
+        c = _scalar(c)
         return OscVector._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other):

@@ -4,12 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import spnil
 from spnil.cli import MAX_TRIALS, main
 
 GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -28,6 +30,7 @@ def run_expecting_usage_error(argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
     assert exc.value.code == 2
+    assert out.getvalue() == ""
 
 
 def test_passing_suites_exit_zero():
@@ -64,9 +67,13 @@ def test_usage_errors_exit_two():
     run_expecting_usage_error(["verify", "lagrangian", "-n", "2", "--trials",
                                "10000000"])
     run_expecting_usage_error(["verify", "weyl", "-n", "1", "--format", "xml"])
+    run_expecting_usage_error(["census", "-n", "0"])
     run_expecting_usage_error(["census", "-n", "5"])
     run_expecting_usage_error(["hilbert", "-n", "2"])
     run_expecting_usage_error(["hilbert", "-n", "1", "--max-degree", "9"])
+    run_expecting_usage_error(["hilbert", "--max-degree", "-1"])
+    run_expecting_usage_error(["radial", "-n", "0"])
+    run_expecting_usage_error(["radial", "-n", "5"])
     run_expecting_usage_error(["lemma-sl2", "--dim", "0"])
     run_expecting_usage_error(["lemma-sl2", "--dim", "13"])
 
@@ -167,9 +174,11 @@ def test_verify_all_caps_expensive_suites():
 
 
 def test_module_entry_point():
+    # the child imports the same spnil as this test, installed or not
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(spnil.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "spnil.cli", "census", "-n", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["checks"][0]["params"]["lambda"] == [2]

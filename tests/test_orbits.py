@@ -1,14 +1,14 @@
 """Nilpotent orbit census for sp(2n) and the shift-chain square lemma."""
 
-import itertools
 import random
+
+import pytest
 
 from spnil import linalg
 from spnil.field import FieldScalar
 from spnil.orbits import (
     CensusRow,
     _flat,
-    _solve_in_basis,
     census,
     component_types,
     lowest_coefficient_membership,
@@ -19,6 +19,7 @@ from spnil.orbits import (
     verify_sl2_square_lemma,
 )
 from spnil.splie import (
+    MatF,
     bracket,
     centralizer_dim,
     is_nilpotent,
@@ -108,9 +109,22 @@ def test_sl2_complete_relations():
                        for i in range(size) for j in range(size) if i != j)
 
 
+def diagonal_h_system(e):
+    """h solved as a diagonal element of sp(2n) with [h, e] = 2e inside the
+    image of ad e, the linear system sl2_complete solved before it read the
+    triple off the Jordan chains."""
+    n = e.size // 2
+    basis = sp_basis(n)
+    zero = [ZERO] * (2 * n) ** 2
+    cols = [_flat(bracket(hb, e)) + _flat(hb) for hb in basis[:n]]
+    cols += [zero + _flat(-bracket(e, b)) for b in basis]
+    sol = linalg.solve(list(zip(*cols)), _flat(e.scale(2)) + zero)
+    assert sol is not None
+    return mat_from_coords(sol[:n], n)
+
+
 def full_f_system(e, h):
-    """f from [e, f] = h and [h, f] = -2f solved over all of sp(2n), as
-    sl2_complete did before it used the weight -2 support of a diagonal h."""
+    """f from [e, f] = h and [h, f] = -2f solved over all of sp(2n)."""
     n = e.size // 2
     basis = sp_basis(n)
     cols = [_flat(bracket(e, b)) + _flat(bracket(h, b) + b.scale(2))
@@ -121,43 +135,38 @@ def full_f_system(e, h):
 
 
 def test_sl2_f_matches_the_full_system():
-    # f is unique given (e, h) (Kostant), so the weight -2 solve must return
-    # the f of the full system: on every canonical representative, the zero
-    # partition included, and on seeded unipotent conjugates, half of which
-    # take the non-diagonal h = [e, w] branch
-    rng = random.Random(29)
-    diagonal = off_diagonal = 0
-    for n in (1, 2, 3):
-        size = 2 * n
+    # on every canonical representative, the zero partition included, the
+    # chain triple is the one the linear systems find: the diagonal h, and the
+    # f of the full system, which is unique given (e, h) (Kostant)
+    for n in (1, 2, 3, 4):
         for lam in partitions_spn(n):
             e = nilpotent_rep(lam)
-            elements = [e]
+            t = sl2_complete(e)
+            assert t.h == diagonal_h_system(e)
+            assert t.f == full_f_system(e, t.h)
+            if n == 4:
+                assert is_sp(t.h) and is_sp(t.f)
+    # an e outside Jordan chain form is refused: seeded unipotent conjugates,
+    # which spread each chain step over several entries, non-nilpotent and
+    # non-sp inputs
+    rng = random.Random(29)
+    refused = 0
+    for n in (1, 2, 3):
+        for lam in partitions_spn(n)[:-1]:
+            e = nilpotent_rep(lam)
             for _ in range(2):
                 y = e
                 for g, ginv in unipotent_factors(n, rng):
                     y = g @ y @ ginv
-                elements.append(y)
-            for y in elements:
-                t = sl2_complete(y)
-                assert t.f == full_f_system(y, t.h)
-                if lam == (1,) * size:
-                    assert t.f.is_zero() and t.h.is_zero()
-                if all(not t.h[i, j] for i in range(size)
-                       for j in range(size) if i != j):
-                    diagonal += 1
-                else:
-                    off_diagonal += 1
-    assert diagonal >= 14 and off_diagonal >= 10
-
-
-def test_solve_in_basis_without_columns():
-    # no columns span only the zero matrix
-    zero, one = FieldScalar(0), FieldScalar(1)
-    assert _solve_in_basis([], [zero, zero]) == []
-    assert _solve_in_basis([], [one, zero]) is None
-    assert _solve_in_basis([], [zero, FieldScalar(0, 1)]) is None
-    assert _solve_in_basis([[one, zero]], [FieldScalar(3), zero]) == [FieldScalar(3)]
-    assert _solve_in_basis([[one, zero]], [zero, one]) is None
+                if y != e:
+                    with pytest.raises(ValueError):
+                        sl2_complete(y)
+                    refused += 1
+    assert refused >= 15
+    cycle = MatF.unit(4, 0, 1) + MatF.unit(4, 1, 0) - MatF.unit(4, 2, 3) - MatF.unit(4, 3, 2)
+    for bad in (sp_basis(2)[0], cycle, MatF.unit(2, 0, 0), MatF.unit(4, 0, 1)):
+        with pytest.raises(ValueError):
+            sl2_complete(bad)
 
 
 def test_census_rank_one():

@@ -216,6 +216,23 @@ def test_term_containers_hold_field_scalars_only():
     assert [type(c) for c in (x2 * x2).terms.values()] == [FieldScalar]
 
 
+def test_scalar_entry_points_refuse_strings_and_floats():
+    from spnil.cherednik import Params
+    from spnil.poly import MultiPoly
+
+    x = MultiPoly.variable(("x",), 0)
+    w = WeylElement.xgen(1, 0)
+    v = OscVector.vacuum(1)
+    makers = (lambda c: MultiPoly.constant(("x",), c), x.scale,
+              lambda c: WeylElement.constant(1, c), w.scale, v.scale,
+              lambda c: Params.of(c, 1), lambda c: Params.of(1, c))
+    for make in makers:
+        for bad in ("1/2", 0.5):
+            with pytest.raises(TypeError):
+                make(bad)
+        assert make(Fraction(1, 2)) == make(fs(Fraction(1, 2)))
+
+
 def test_field_commutator_matches_dense_sums():
     rng = random.Random(612)
     for n in (1, 2):
