@@ -119,6 +119,12 @@ def _datum(n):
     return RootDatumC(n)
 
 
+@lru_cache(maxsize=None)
+def _reflections(n):
+    """Each positive root of type C_n with its reflection s_a."""
+    return tuple((root, reflection(root)) for root in _datum(n).positive_roots)
+
+
 def root_linear(root, registry):
     p = MultiPoly.zero(registry)
     for i, c in enumerate(root.coeffs):
@@ -133,11 +139,11 @@ def _dunkl_monomial(direction, registry, exp, params):
     Shared table entry: callers copy it, never hand it out."""
     p = MultiPoly(registry, {exp: ONE})
     out = p.partial(direction)
-    for root in _datum(len(registry)).positive_roots:
+    for root, s_a in _reflections(len(registry)):
         a_y = root.coeffs[direction]
         if not a_y:
             continue
-        diff = p - w_act(reflection(root), p)
+        diff = p - w_act(s_a, p)
         if diff.is_zero():
             continue
         quot = divide_by_linear(diff, root_linear(root, registry))
@@ -154,22 +160,24 @@ def dunkl_apply(direction, p, params):
         for key, v in _dunkl_monomial(direction, p.registry, exp, params).terms.items())))
 
 
+@lru_cache(maxsize=None)
+def _hc_terms(n, x_idx, y_idx, params):
+    """(s_a, c(a) <a, y> <x, a^dual>) over the positive roots a with <a, y>
+    and <x, a> nonzero, where <x, a^dual> = 2 <x, a> / (a, a)."""
+    return tuple(
+        (s_a, params.value(root) * root.coeffs[y_idx]
+         * (FieldScalar(2) * root.coeffs[x_idx] / RootDatumC.pairing(root, root)))
+        for root, s_a in _reflections(n)
+        if root.coeffs[y_idx] and root.coeffs[x_idx])
+
+
 def check_hc_relation(x_idx, y_idx, p, params):
     """[T_y, t_x] = <x, y> - sum_a c(a) <a, y> <x, a^dual> s_a, applied to p."""
-    n = len(p.registry)
     x_poly = MultiPoly.variable(p.registry, x_idx)
     lhs = dunkl_apply(y_idx, x_poly * p, params) - x_poly * dunkl_apply(y_idx, p, params)
     rhs = p if x_idx == y_idx else MultiPoly.zero(p.registry)
-    datum = _datum(n)
-    for root in datum.positive_roots:
-        a_y = root.coeffs[y_idx]
-        a_x = root.coeffs[x_idx]
-        if not a_y or not a_x:
-            continue
-        # <x, a^dual> = 2 <x, a> / (a, a)
-        norm = RootDatumC.pairing(root, root)
-        coeff = params.value(root) * a_y * (FieldScalar(2) * a_x / norm)
-        rhs = rhs - w_act(reflection(root), p).scale(coeff)
+    for s_a, coeff in _hc_terms(len(p.registry), x_idx, y_idx, params):
+        rhs = rhs - w_act(s_a, p).scale(coeff)
     return lhs == rhs
 
 

@@ -1,15 +1,16 @@
 """The almost-commuting scheme of sp(2n) and its nilpotent subscheme.
 
 Points are triples (x, y, i) with x, y in sp(2n) and i in V = F^(2n), subject
-to [x, y] + i i^T J = 0; the nilpotent subscheme adds the even characteristic
-coefficients of y.  Everything here is symbolic-exact: ideals live in a
-polynomial registry with one variable per trace-dual coordinate of x and y
-plus one per coordinate of i, all in degree 1.
+to [x, y] + i i^T J = 0; the nilpotent subscheme adds the power traces
+tr(y^2k), k = 1..n, which generate the same ideal as the even characteristic
+coefficients of y.  Everything here is exact: ideals live in a polynomial
+registry with one variable per trace-dual coordinate of x and y plus one per
+coordinate of i, all in degree 1, and the nilpotency rows of the tangent
+system are taken in closed form.
 """
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldScalar, HALF
@@ -119,30 +120,12 @@ def _minors2(m, registry):
     return out
 
 
-def _char_coeffs(m, registry, size):
-    """Elementary symmetric functions e_1..e_size of a polynomial matrix,
-    via traces of powers and Newton's identities.
-
-    Only the powers m, m^2, ..., m^h with h = ceil(size/2) are formed; for
-    k > h, tr(m^k) is the trace pairing of m^h with m^(k-h).
-    """
-    h = (size + 1) // 2
+def _powers(m, registry, count):
+    """m, m^2, ..., m^count of a polynomial matrix."""
     powers = [m]
-    for _ in range(h - 1):
+    while len(powers) < count:
         powers.append(_pm_mul(powers[-1], m, registry))
-    traces = [_pm_trace(p, registry) for p in powers]
-    for k in range(h + 1, size + 1):
-        traces.append(_pm_pair(powers[h - 1], powers[k - h - 1], registry))
-    es = [MultiPoly.constant(registry, 1)]
-    for k in range(1, size + 1):
-        acc = MultiPoly.zero(registry)
-        sign = 1
-        for i in range(1, k + 1):
-            term = es[k - i] * traces[i - 1]
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        es.append(acc.scale(Fraction(1, k)))
-    return es[1:]
+    return powers
 
 
 def ideal_generators(kind, n):
@@ -152,8 +135,11 @@ def ideal_generators(kind, n):
          full (x, y, i) registry.
     "J": 2x2 minors of the generic commutator [x, y], degree 4, x-y registry.
     "K": 2x2 minors of a generic sp matrix, degree 2, x registry.
-    "NIL": even characteristic coefficients of y, degrees 2, 4, ..., 2n,
-         y registry.  (Odd ones vanish identically on sp.)
+    "NIL": power traces tr(y^2k) for k = 1..n, degrees 2, 4, ..., 2n, y
+         registry, each the trace pairing of y^k with itself.  Newton's
+         identities are triangular over Q, so they generate the same ideal
+         as the even characteristic coefficients e_2, ..., e_2n; the odd
+         ones vanish identically on sp.
     """
     nn = sp_dim(n)
     if kind == "I":
@@ -183,9 +169,8 @@ def ideal_generators(kind, n):
         return _minors2(_generic(registry, 0, n), registry)
     if kind == "NIL":
         registry = tuple(f"y{k}" for k in range(nn))
-        y = _generic(registry, 0, n)
-        es = _char_coeffs(y, registry, 2 * n)
-        return [es[2 * k - 1] for k in range(1, n + 1)]
+        return [_pm_pair(p, p, registry)
+                for p in _powers(_generic(registry, 0, n), registry, n)]
     raise ValueError(f"unknown ideal kind: {kind}")
 
 
@@ -209,13 +194,9 @@ def _odd_traces_vanish(m, registry):
     """
     if not _pm_trace(m, registry).is_zero():
         return False
-    power = m
-    for _ in range((len(m) - 1) // 2):
-        higher = _pm_mul(power, m, registry)
-        if not _pm_pair(higher, power, registry).is_zero():
-            return False
-        power = higher
-    return True
+    powers = _powers(m, registry, (len(m) + 1) // 2)
+    return all(_pm_pair(higher, power, registry).is_zero()
+               for power, higher in zip(powers, powers[1:]))
 
 
 def odd_char_coeffs_vanish(n):
@@ -306,12 +287,9 @@ class TangentReport:
 
 @lru_cache(maxsize=None)
 def _nil_system(n):
-    """Generators of I plus NIL in the full registry, with their gradients."""
+    """Generators of I in the full registry, with their gradients."""
     registry = full_registry(n)
-    nn = sp_dim(n)
-    gens = list(ideal_generators("I", n))
-    for g in ideal_generators("NIL", n):
-        gens.append(g.embed(registry, list(range(nn, 2 * nn))))
+    gens = ideal_generators("I", n)
     grads = [[g.partial(v) for v in range(len(registry))] for g in gens]
     return registry, gens, grads
 
@@ -385,16 +363,27 @@ def _jacobian_at(point):
     """Ambient dimension and exact Jacobian of I plus NIL at a point (with i
     a tuple, so it hashes), which must satisfy every defining equation.
 
+    The I rows evaluate the symbolic gradients.  At a nilpotent y the NIL
+    rows have a closed form: d tr(y^2k)(b) = 2k tr(y^(2k-1) b), one row per
+    k over the y coordinates.
+
     lagrangian_check and stratum_tangent_check both need it, and the CLI runs
     them on the same point one after the other, so the last point is kept.
     """
-    registry, gens, grads = _nil_system(point.n)
+    n = point.n
+    registry, gens, grads = _nil_system(n)
     values = point_coordinates(point)
-    for g in gens:
-        if g.eval(values):
-            raise ValueError("point does not satisfy the defining equations")
-    jac = tuple(tuple(cell.eval(values) for cell in row) for row in grads)
-    return len(registry), jac
+    if any(g.eval(values) for g in gens) or not is_nilpotent(point.y):
+        raise ValueError("point does not satisfy the defining equations")
+    jac = [tuple(cell.eval(values) for cell in row) for row in grads]
+    nn = sp_dim(n)
+    zeros_x, zeros_i = [_ZERO] * nn, [_ZERO] * (2 * n)
+    odd, square = point.y, point.y @ point.y
+    for k in range(1, n + 1):
+        jac.append(tuple(zeros_x + [trace_pair(odd, b) * (2 * k) for b in sp_basis(n)]
+                         + zeros_i))
+        odd = odd @ square
+    return len(registry), tuple(jac)
 
 
 def lagrangian_check(point):

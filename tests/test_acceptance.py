@@ -140,8 +140,8 @@ def test_criterion_06_lagrangian_full_rank():
     # tr(y [x, y]) = 0, so tr(y mu) = i^T J y i lies in I and its
     # differential tr(y d mu) is a combination of the I rows.  Conjugated to
     # y = E_12, i = (c, 0) with c != 0, y i = 0 and that differential is
-    # c^2 b_21, while d e_2(y) = -b_21, so the NIL row lies in the span of the
-    # I rows and the rank is exactly 3.  Measured rank(d mu) and rank(d NIL):
+    # c^2 b_21, while d tr(y^2) = 2 tr(y b) = 2 b_21, so the NIL row lies in
+    # the span of the I rows and the rank is exactly 3.  Measured rank(d mu) and rank(d NIL):
     # (2) 3 and 1; (4) 9-10 and 2; (2,2) 9-10 and 1.  What is checked:
     # 2n^2 + 2n equations (the codimension), and at every point a rank
     # 2n^2 + 2n frame of the component inside the Jacobian kernel, isotropic

@@ -1,6 +1,7 @@
 """Scheme-level checks: ideals, moment equation, sampled points, tangents,
 the half-dimensional stratum frame, the linear embedding, Hilbert rows."""
 
+import functools
 import random
 
 import pytest
@@ -9,8 +10,14 @@ from fractions import Fraction
 
 from spnil.field import FieldScalar, fs
 from spnil.poly import MultiPoly
-from spnil.linalg import dense_rank, nullspace
-from spnil.orbits import census, nilpotent_rep, partitions_spn, sl2_complete
+from spnil.linalg import dense_rank, nullspace, truncated_ideal_dim
+from spnil.orbits import (
+    census,
+    component_types,
+    nilpotent_rep,
+    partitions_spn,
+    sl2_complete,
+)
 from spnil.splie import (
     MatF,
     bracket,
@@ -24,12 +31,14 @@ from spnil.splie import (
 )
 from spnil.varieties import (
     SchemePoint,
-    _char_coeffs,
     _generic,
     _isotropic,
     _rep_and_positive_slots,
     _jacobian_at,
     _odd_traces_vanish,
+    _pm_mul,
+    _pm_pair,
+    _pm_trace,
     _pairing,
     _split,
     _stratum_frame,
@@ -204,10 +213,11 @@ def test_tangent_rank_regression_at_sampled_points():
     # At n = 1 they cannot: tr(y [x, y]) = 0, so tr(y mu) = i^T J y i lies in
     # I and its differential tr(y d mu) is a combination of the I rows.
     # Conjugated to y = E_12, i = (c, 0) with c != 0, y i = 0 and that
-    # differential is c^2 b_21, while d e_2(y) = -b_21: the NIL row lies in
-    # the span of the I rows.  Measured rank(d mu) and rank(d NIL): (2) 3 and
-    # 1; (4) 9-10 and 2; (2,2) 9-10 and 1.  The kernel then exceeds half the
-    # ambient dimension, which is why the isotropy flag stays off.
+    # differential is c^2 b_21, while d tr(y^2) = 2 tr(y b) = 2 b_21: the
+    # NIL row lies in the span of the I rows.  Measured rank(d mu) and
+    # rank(d NIL): (2) 3 and 1; (4) 9-10 and 2; (2,2) 9-10 and 1.  The kernel
+    # then exceeds half the ambient dimension, which is why the isotropy flag
+    # stays off.
     for seed in range(5):
         rep = lagrangian_check(sample_xnil_point((2,), seed=seed))
         assert rep.jacobian_rank == 3
@@ -337,6 +347,39 @@ def test_odd_characteristic_coefficients_vanish():
     assert odd_char_coeffs_vanish(3)
 
 
+def _char_coeffs(m, registry, size):
+    """Elementary symmetric functions e_1..e_size of a polynomial matrix,
+    via traces of powers and Newton's identities.
+
+    Only the powers m, m^2, ..., m^h with h = ceil(size/2) are formed; for
+    k > h, tr(m^k) is the trace pairing of m^h with m^(k-h).
+    """
+    h = (size + 1) // 2
+    powers = [m]
+    for _ in range(h - 1):
+        powers.append(_pm_mul(powers[-1], m, registry))
+    traces = [_pm_trace(p, registry) for p in powers]
+    for k in range(h + 1, size + 1):
+        traces.append(_pm_pair(powers[h - 1], powers[k - h - 1], registry))
+    es = [MultiPoly.constant(registry, 1)]
+    for k in range(1, size + 1):
+        acc = MultiPoly.zero(registry)
+        sign = 1
+        for i in range(1, k + 1):
+            term = es[k - i] * traces[i - 1]
+            acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        es.append(acc.scale(Fraction(1, k)))
+    return es[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def sp_char_coeffs(n):
+    """e_1..e_2n of a generic element of sp(2n), in the NIL registry."""
+    registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+    return tuple(_char_coeffs(_generic(registry, 0, n), registry, 2 * n))
+
+
 def test_odd_traces_vanish_exactly_with_odd_char_coeffs():
     # generic sp(2n): both sides vanish; generic gl(2), gl(4) and generic
     # sp(2n) with one entry bumped off sp: both sides are nonzero
@@ -410,8 +453,7 @@ def test_char_coeffs_match_all_powers_oracle():
 
 def test_char_coeffs_at_sampled_sp6_points_match_faddeev_leverrier():
     n = 3
-    registry = tuple(f"y{k}" for k in range(sp_dim(n)))
-    es = _char_coeffs(_generic(registry, 0, n), registry, 2 * n)
+    es = sp_char_coeffs(n)
     rng = random.Random(705)
     basis = sp_basis(n)
     for _ in range(4):
@@ -423,6 +465,62 @@ def test_char_coeffs_at_sampled_sp6_points_match_faddeev_leverrier():
         values = coords_of(y, n)
         assert [e.eval(values) for e in es] == want
         assert all(not w for w in want[0::2]) and any(want[1::2])
+
+
+def test_power_traces_and_even_char_coeffs_generate_one_ideal():
+    # Newton's identities are triangular over Q, so (tr y^2, ..., tr y^2n)
+    # and (e_2, ..., e_2n) agree; equal slices of both and of their sum
+    # show it degree by degree
+    for n in (1, 2):
+        traces = ideal_generators("NIL", n)
+        evens = list(sp_char_coeffs(n)[1::2])
+        assert traces[0].registry == evens[0].registry
+        for d in (2, 4):
+            dims = {truncated_ideal_dim(gens, d)
+                    for gens in (traces, evens, traces + evens)}
+            assert len(dims) == 1 and dims != {0}
+
+
+def test_closed_form_nil_rows_match_char_coeff_gradients():
+    # at a nilpotent y every e_j (j >= 1) and every tr(y^i) vanish, so
+    # Newton's identities give d tr(y^2k) = -2k d e_2k: the closed-form
+    # NIL rows of _jacobian_at are the evaluated gradients of e_2k, scaled
+    points = [sample_xnil_point(lam, seed=seed)
+              for n in (1, 2) for lam in partitions_spn(n) for seed in range(3)]
+    points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
+    nonzero = 0
+    for pt in points:
+        n, nn = pt.n, sp_dim(pt.n)
+        jac = _jacobian_at(pt)[1]
+        i_rows, nil_rows = list(jac[:-n]), list(jac[-n:])
+        ycoords = coords_of(pt.y, n)
+        symbolic = [
+            [ZERO] * nn
+            + [e.partial(v).eval(ycoords) for v in range(nn)]
+            + [ZERO] * (2 * n)
+            for e in sp_char_coeffs(n)[1::2]
+        ]
+        assert nil_rows == [tuple(c * (-2 * k) for c in row)
+                            for k, row in enumerate(symbolic, 1)]
+        assert dense_rank(nil_rows) == dense_rank(symbolic)
+        assert dense_rank(i_rows + nil_rows) == dense_rank(i_rows + symbolic)
+        nonzero += any(any(row) for row in nil_rows)
+    assert nonzero > 0
+
+
+def test_jacobian_refuses_points_off_the_nilpotent_scheme():
+    h1 = sp_basis(1)[0]
+    # x commutes with y = 0 but raw_square(i) does not vanish
+    off_moment = SchemePoint(1, h1, MatF.zero(2), (fs(1), ZERO))
+    # mu = 0, but y = H_1 is semisimple
+    semisimple = SchemePoint(1, MatF.zero(2), h1, (ZERO, ZERO))
+    assert not moment2(off_moment).is_zero()
+    assert moment2(semisimple).is_zero() and not is_nilpotent(semisimple.y)
+    for pt in (off_moment, semisimple):
+        with pytest.raises(ValueError, match="defining equations"):
+            _jacobian_at(pt)
+        with pytest.raises(ValueError, match="defining equations"):
+            lagrangian_check(pt)
 
 
 def test_quadratic_comoment_kills_minors():
