@@ -1,11 +1,12 @@
 """Exact linear algebra over Q(sqrt2): dense solvers and sparse row reduction.
 
 Dense matrices are sequences of FieldScalar rows and stay small (a few dozen
-rows), so plain Gauss-Jordan elimination is fine; the four dense solvers share
-one kernel and work on their own copy of the input.  The sparse reducer backs
-the graded ideal-dimension computations, where rows are dicts keyed by
-exponent tuples; an all-rational matrix drops to an integer path with gcd
-normalization, which keeps coefficient growth tame without changing any rank.
+rows), so plain Gauss-Jordan elimination is fine; row_basis (the reduced rows),
+dense_rank, solve, nullspace and inverse share one kernel and copy their input.
+The sparse reducer backs the graded ideal-dimension computations, where rows
+are dicts keyed by exponent tuples; an all-rational matrix drops to an integer
+path with gcd normalization, which keeps coefficient growth tame without
+changing any rank.
 """
 
 from math import gcd
@@ -47,10 +48,17 @@ def _rref(a, cols):
     return pivots
 
 
-def dense_rank(mat):
+def row_basis(mat):
+    """The nonzero rows of the reduced echelon form of mat: a basis of its
+    row space, each row leading with 1 in a column that is 0 in the others."""
     if not mat:
-        return 0
-    return len(_rref([list(row) for row in mat], len(mat[0])))
+        return []
+    a = [list(row) for row in mat]
+    return a[:len(_rref(a, len(mat[0])))]
+
+
+def dense_rank(mat):
+    return len(row_basis(mat))
 
 
 def solve(mat, rhs):

@@ -10,7 +10,7 @@ system are taken in closed form.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import FieldScalar, HALF
@@ -42,6 +42,9 @@ class SchemePoint:
     x: MatF
     y: MatF
     i: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "i", tuple(self.i))  # so a point hashes
 
 
 def moment2(point):
@@ -360,8 +363,8 @@ def _isotropic(vectors, n):
 
 @lru_cache(maxsize=1)
 def _jacobian_at(point):
-    """Ambient dimension and exact Jacobian of I plus NIL at a point (with i
-    a tuple, so it hashes), which must satisfy every defining equation.
+    """Ambient dimension and exact Jacobian of I plus NIL at a point, which
+    must satisfy every defining equation.
 
     The I rows evaluate the symbolic gradients.  At a nilpotent y the NIL
     rows have a closed form: d tr(y^2k)(b) = 2k tr(y^(2k-1) b), one row per
@@ -393,7 +396,7 @@ def lagrangian_check(point):
     Zariski tangent space) and whether _pairing vanishes on that kernel.
     """
     n = point.n
-    ambient, jac = _jacobian_at(replace(point, i=tuple(point.i)))
+    ambient, jac = _jacobian_at(point)
     kernel = linalg.nullspace(jac)
     isotropic = _isotropic(kernel, n)
     tangent = len(kernel)
@@ -407,11 +410,12 @@ def lagrangian_check(point):
 
 
 def positive_weight_space(y):
-    """Basis of the canonical half space of a nilpotent y.
+    """Reduced echelon basis of the canonical half space of a nilpotent y.
 
     Computed as the sum over j >= 1 of im(y^j) intersected with ker(y^j),
     which equals the span of the positive-weight vectors of any sl2
     completion of y; the formula needs no completion and is equivariant.
+    The vectors y^j w with y^(2j) w = 0 are reduced in one elimination.
     """
     candidates = []
     power = y
@@ -422,11 +426,7 @@ def positive_weight_space(y):
             if any(v):
                 candidates.append(v)
         power = power @ y
-    basis = []
-    for v in candidates:
-        if linalg.dense_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    return basis
+    return linalg.row_basis(candidates)
 
 
 @dataclass(frozen=True)
@@ -444,55 +444,45 @@ def stratum_tangent_check(point):
     (w, 0, u) for u in the canonical half space of y, with w solving
     [w, y] = -(polarization of raw_square at i along u).  Its rank is the
     stratum dimension and the frame sits inside the kernel of the defining
-    Jacobian.
+    Jacobian; both, and isotropy, are read off a reduced basis of its span.
 
     Isotropy is tested against the moment-compatible form of _pairing,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
     of the moment map for the strata to pair to zero.
     """
-    n = point.n
-    _, jac = _jacobian_at(replace(point, i=tuple(point.i)))
-    frame = _stratum_frame(point)
+    _, jac = _jacobian_at(point)
+    span = linalg.row_basis(_stratum_frame(point))
     inside = not any(
         sum((c * v for c, v in zip(row, vec) if c and v), _ZERO)
-        for vec in frame
+        for vec in span
         for row in jac
     )
     return StratumReport(
-        frame_rank=linalg.dense_rank(frame),
+        frame_rank=len(span),
         inside_kernel=inside,
-        isotropic=_isotropic(frame, n),
+        isotropic=_isotropic(span, point.n),
     )
 
 
 def _stratum_frame(point):
-    """The flat tangent frame of stratum_tangent_check at point."""
-    n = point.n
-    nn = sp_dim(n)
-    zeros_g = [_ZERO] * nn
-    zeros_v = [_ZERO] * (2 * n)
+    """The flat tangent frame of stratum_tangent_check at point.
 
-    frame = []
-    ivec = list(point.i)
-    for a in sp_basis(n):
-        frame.append(
-            coords_of(bracket(a, point.x), n)
-            + coords_of(bracket(a, point.y), n)
-            + a.apply(ivec)
-        )
-    admat = _ad_flat(point.y, n)
-    for z in linalg.nullspace(admat):
-        frame.append(list(z) + zeros_g + zeros_v)
-    for u in positive_weight_space(point.y):
-        polar = (
-            raw_square([p + q for p, q in zip(ivec, u)])
-            - raw_square(ivec)
-            - raw_square(u)
-        )
-        sol = linalg.solve(admat, _flat(-polar))
-        if sol is None:
-            raise RuntimeError("vector move unexpectedly unsolvable")
-        frame.append(list(sol) + zeros_g + list(u))
+    Beside the conjugation directions, one kernel of the stacked matrix
+    [ad y | polar(u_1) ... polar(u_k)], u_1 .. u_k a basis of the half space,
+    gives the centralizer shifts and the vector moves: a kernel vector (w, c)
+    becomes (w, 0, sum c_k u_k).  A move with no solution lowers the rank.
+    """
+    n, nn, ivec = point.n, sp_dim(point.n), list(point.i)
+    half = positive_weight_space(point.y)
+    polars = [_flat(raw_square([p + q for p, q in zip(ivec, u)]) - raw_square(ivec)
+                    - raw_square(u)) for u in half]
+    stacked = [list(row) + [p[r] for p in polars]
+               for r, row in enumerate(_ad_flat(point.y, n))]
+    frame = [coords_of(bracket(a, point.x), n) + coords_of(bracket(a, point.y), n)
+             + a.apply(ivec) for a in sp_basis(n)]
+    for z in linalg.nullspace(stacked):
+        u = [sum((c * v[a] for c, v in zip(z[nn:], half) if c), _ZERO) for a in range(2 * n)]
+        frame.append(z[:nn] + [_ZERO] * nn + u)
     return frame
 
 

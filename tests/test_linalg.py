@@ -11,6 +11,7 @@ from spnil.linalg import (
     dense_rank,
     inverse,
     nullspace,
+    row_basis,
     solve,
     sparse_rank,
     truncated_ideal_dim,
@@ -111,6 +112,19 @@ def test_rref_is_reduced_echelon_and_spans_the_rows():
             assert combo == list(row)
         early_stops += len(pivots) == len(a) and pivots[-1] < cols - 1
     assert early_stops
+
+
+def test_row_basis_is_reduced_echelon_and_spans_the_rows():
+    assert row_basis([]) == []
+    for a in shaped_matrices(415):
+        basis = row_basis(a)
+        assert len(basis) == dense_rank(a)
+        leads = [next(c for c, v in enumerate(row) if v) for row in basis]
+        assert leads == sorted(set(leads))
+        for r, lead in enumerate(leads):
+            assert basis[r][lead] == ONE
+            assert not any(basis[s][lead] for s in range(len(basis)) if s != r)
+        assert dense_rank(list(a) + basis) == dense_rank(a)
 
 
 def test_solve_succeeds_exactly_when_rank_does_not_grow():

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 from spnil.field import FieldScalar, fs
 from spnil.poly import MultiPoly
-from spnil.linalg import dense_rank, nullspace, truncated_ideal_dim
+from spnil.linalg import dense_rank, nullspace, solve, truncated_ideal_dim
 from spnil.orbits import (
+    _ad_flat,
+    _flat,
     census,
     component_types,
     nilpotent_rep,
@@ -25,6 +27,7 @@ from spnil.splie import (
     is_nilpotent,
     omega,
     omega_matrix,
+    raw_square,
     sp_basis,
     sp_dim,
     trace_pair,
@@ -102,6 +105,8 @@ def test_moment2_zero_exactly_on_scheme():
     assert moment2(origin(2)).is_zero()
     h = sp_basis(1)[0]
     off = SchemePoint(1, h, MatF.zero(2), [fs(1), ZERO])
+    # a list i is stored as a tuple, so the point hashes
+    assert type(off.i) is tuple and off.i == (fs(1), ZERO)
     # x commutes with y = 0 but i^2 does not vanish
     assert not moment2(off).is_zero()
 
@@ -313,6 +318,38 @@ def test_flat_isotropy_matches_pairing_oracle():
                 assert answer is oracle(rescaled, n)
                 flipped += answer is False
     assert flipped > 0
+
+
+def per_move_frame(point):
+    """Reference stratum frame: one centralizer nullspace of ad y and one
+    solve per half space vector for its move."""
+    n = point.n
+    nn = sp_dim(n)
+    zeros_g = [ZERO] * nn
+    zeros_v = [ZERO] * (2 * n)
+    ivec = list(point.i)
+    frame = [coords_of(bracket(a, point.x), n) + coords_of(bracket(a, point.y), n)
+             + a.apply(ivec) for a in sp_basis(n)]
+    admat = _ad_flat(point.y, n)
+    for z in nullspace(admat):
+        frame.append(list(z) + zeros_g + zeros_v)
+    for u in positive_weight_space(point.y):
+        polar = (raw_square([p + q for p, q in zip(ivec, u)])
+                 - raw_square(ivec) - raw_square(u))
+        sol = solve(admat, _flat(-polar))
+        assert sol is not None
+        frame.append(list(sol) + zeros_g + list(u))
+    return frame
+
+
+def test_stacked_kernel_frame_spans_the_per_move_frame():
+    points = [sample_xnil_point(lam, seed=seed)
+              for n in (1, 2) for lam in partitions_spn(n) for seed in range(3)]
+    points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
+    for pt in points:
+        old, new = per_move_frame(pt), _stratum_frame(pt)
+        assert len(old) == len(new)
+        assert dense_rank(old) == dense_rank(new) == dense_rank(old + new)
 
 
 def test_positive_weight_space_dimensions_match_census():
