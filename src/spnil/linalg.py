@@ -1,8 +1,11 @@
 """Exact linear algebra over Q(sqrt2): dense solvers and sparse row reduction.
 
 Dense matrices are sequences of FieldScalar rows and stay small (a few dozen
-rows), so plain Gauss-Jordan elimination is fine; row_basis (the reduced rows),
-dense_rank, solve, nullspace and inverse share one kernel and copy their input.
+rows), so plain Gauss-Jordan elimination is fine.  Its row updates are sparse:
+each pivot row is scaled and subtracted at its nonzero entries only.
+row_basis (the reduced rows), dense_rank, solve, nullspace, solution_space
+(solve and nullspace from one elimination) and inverse share that one kernel
+and copy their input.
 The sparse reducer backs the graded ideal-dimension computations, where rows
 are dicts keyed by exponent tuples; an all-rational matrix drops to an integer
 path with gcd normalization, which keeps coefficient growth tame without
@@ -15,6 +18,7 @@ from .field import FieldScalar
 from .poly import grlex_key, monomials
 
 _ZERO = FieldScalar(0)
+_ONE = FieldScalar(1)
 
 
 # -- dense ----------------------------------------------------------------
@@ -26,9 +30,12 @@ def _rref(a, cols):
     Pivots are sought left to right in the first cols columns only, and
     elimination stops once every row has one.  Row r then leads with 1 in
     column pivots[r], which is 0 in every other row; the rows past the pivots
-    are zero in the first cols columns.
+    are zero in the first cols columns.  The pivot row is zero left of its
+    pivot, so only its nonzero entries from there on are scaled and
+    subtracted from the other rows.
     """
     rows = len(a)
+    width = len(a[0]) if rows else 0
     pivots = []
     for col in range(cols):
         if len(pivots) == rows:
@@ -38,14 +45,44 @@ def _rref(a, cols):
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [v * inv for v in a[rank]]
+        prow = a[rank]
+        inv = prow[col].inverse()
+        support = [(j, prow[j] * inv) for j in range(col, width) if prow[j]]
+        for j, v in support:
+            prow[j] = v
         for r in range(rows):
-            if r != rank and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
+            row = a[r]
+            c = row[col]
+            if r != rank and c:
+                for j, v in support:
+                    row[j] = row[j] - c * v
         pivots.append(col)
     return pivots
+
+
+def _particular(a, pivots, cols):
+    """The solution with free variables zero, read off a reduced [mat | rhs],
+    or None when a zero row of mat meets a nonzero right-hand side."""
+    if any(row[cols] for row in a[len(pivots):]):
+        return None
+    x = [_ZERO] * cols
+    for row, col in zip(a, pivots):
+        x[col] = row[cols]
+    return x
+
+
+def _kernel(a, pivots, cols):
+    """Kernel basis read off reduced rows: one vector per free column."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivot_set):
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for row, pc in zip(a, pivots):
+            if row[fc]:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
 
 
 def row_basis(mat):
@@ -61,6 +98,10 @@ def dense_rank(mat):
     return len(row_basis(mat))
 
 
+def _augmented(mat, rhs):
+    return [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+
+
 def solve(mat, rhs):
     """One exact solution of mat*x = rhs, or None if inconsistent.
 
@@ -69,14 +110,8 @@ def solve(mat, rhs):
     if not mat:
         return []
     cols = len(mat[0])
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = _rref(a, cols)
-    if any(row[cols] for row in a[len(pivots):]):
-        return None
-    x = [_ZERO] * cols
-    for row, col in zip(a, pivots):
-        x[col] = row[cols]
-    return x
+    a = _augmented(mat, rhs)
+    return _particular(a, _rref(a, cols), cols)
 
 
 def nullspace(mat):
@@ -85,15 +120,21 @@ def nullspace(mat):
         return []
     cols = len(mat[0])
     a = [list(row) for row in mat]
+    return _kernel(a, _rref(a, cols), cols)
+
+
+def solution_space(mat, rhs):
+    """(solve(mat, rhs), nullspace(mat)) from one elimination of [mat | rhs].
+
+    Pivots are sought in the columns of mat only, so the reduced rows there
+    are those of mat alone and the kernel basis is the same.
+    """
+    if not mat:
+        return [], []
+    cols = len(mat[0])
+    a = _augmented(mat, rhs)
     pivots = _rref(a, cols)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [_ZERO] * cols
-        v[fc] = FieldScalar(1)
-        for row, pc in zip(a, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    return _particular(a, pivots, cols), _kernel(a, pivots, cols)
 
 
 def inverse(mat):

@@ -264,11 +264,10 @@ def sample_xnil_point(lam, seed=0):
         y = g @ y @ ginv
         vec = g.apply(vec)
 
-    mat = _ad_flat(y, n)
-    sol = linalg.solve(mat, _flat(-raw_square(vec)))
+    sol, kernel = linalg.solution_space(_ad_flat(y, n), _flat(-raw_square(vec)))
     if sol is None:
         raise RuntimeError("moment equation unexpectedly unsolvable")
-    for z in linalg.nullspace(mat):
+    for z in kernel:
         c = FieldScalar(rng.randint(-2, 2))
         if c:
             sol = [s + c * zi for s, zi in zip(sol, z)]
@@ -327,14 +326,13 @@ def _pairing(t1, t2):
     return trace_pair(a1, b2) - trace_pair(a2, b1) - omega(u1, u2) * 2
 
 
-def _isotropic(vectors, n):
-    """True when _pairing vanishes on every pair of the flat vectors.
-
-    On flat (x, y, i) coordinates _pairing is the sum of
-    c (v1[p] v2[q] - v1[q] v2[p]) over the entries (p, q, c) of the form:
-    the trace-form Gram matrix of sp_basis(n) between the x and y parts,
-    where each basis element has exactly one nonzero partner, and -2 omega
-    on the i part.
+@lru_cache(maxsize=None)
+def _trace_form(n):
+    """The entries (p, q, c) of _pairing on flat (x, y, i) coordinates, which
+    is the sum of c (v1[p] v2[q] - v1[q] v2[p]) over them: the trace-form
+    Gram matrix of sp_basis(n) between the x and y parts, and -2 omega on the
+    i part.  Every basis element has exactly one nonzero trace partner, so
+    each flat coordinate lies in exactly one entry.
     """
     nn = sp_dim(n)
     basis = sp_basis(n)
@@ -345,19 +343,33 @@ def _isotropic(vectors, n):
         if (g := trace_pair(a, b))
     ]
     form += [(2 * nn + a, 2 * nn + n + a, FieldScalar(-2)) for a in range(n)]
+    return tuple(form)
 
-    def pair(v, w):
-        total = _ZERO
+
+def _isotropic(vectors, n):
+    """True when _pairing vanishes on every pair of the flat vectors.
+
+    Each vector w is mapped once to its image under the form of _trace_form,
+    the sparse vector with entry c w[q] at p and -c w[p] at q per entry
+    (p, q, c); as each coordinate lies in one entry, nothing is summed.  A
+    pair (v, w) then pairs to the dot product of v with the image of w, taken
+    over their common support.
+    """
+    form = _trace_form(n)
+    images = []
+    for w in vectors:
+        image = {}
         for p, q, c in form:
-            s = v[p] * w[q] - v[q] * w[p]
-            if s:
-                total = total + c * s
-        return total
-
+            if w[q]:
+                image[p] = c * w[q]
+            if w[p]:
+                image[q] = -(c * w[p])
+        images.append(image)
+    supports = [[(p, x) for p, x in enumerate(v) if x] for v in vectors]
     return not any(
-        pair(vectors[p], vectors[q])
-        for p in range(len(vectors))
-        for q in range(p + 1, len(vectors))
+        sum((x * images[b][p] for p, x in supports[a] if p in images[b]), _ZERO)
+        for a in range(len(vectors))
+        for b in range(a + 1, len(vectors))
     )
 
 
@@ -451,11 +463,12 @@ def stratum_tangent_check(point):
     of the moment map for the strata to pair to zero.
     """
     _, jac = _jacobian_at(point)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in jac]
     span = linalg.row_basis(_stratum_frame(point))
     inside = not any(
-        sum((c * v for c, v in zip(row, vec) if c and v), _ZERO)
+        sum((c * vec[j] for j, c in row if vec[j]), _ZERO)
         for vec in span
-        for row in jac
+        for row in rows
     )
     return StratumReport(
         frame_rank=len(span),

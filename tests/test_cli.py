@@ -204,3 +204,16 @@ def test_lagrangian_report_at_n3_keeps_its_bytes():
         code, out, _ = run(["verify", "lagrangian", "-n", "3", "--trials", "2", "--seed", seed])
         assert code == 1
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_lagrangian_reports_off_the_goldens_keep_their_bytes():
+    # a second n = 2 seed and the one n = 4 point, pinned like n = 3 above
+    pinned = {
+        "-n 2 --seed 7": "e12932e266d1ea737ce7ebf6a3e016fee3c9dff51cf5010ed69e1e534b8d6b07",
+        "-n 4 --trials 1 --seed 0":
+            "05fe9ed1316cc4143cd9e4b1a55db5c42ec20eb3ccd98690bc13fd75374bc204",
+    }
+    for args, digest in pinned.items():
+        code, out, _ = run(["verify", "lagrangian"] + args.split())
+        assert code == 1, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args

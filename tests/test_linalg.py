@@ -12,10 +12,12 @@ from spnil.linalg import (
     inverse,
     nullspace,
     row_basis,
+    solution_space,
     solve,
     sparse_rank,
     truncated_ideal_dim,
 )
+from spnil.orbits import _ad_flat, nilpotent_rep, partitions_spn
 from spnil.poly import MultiPoly, count_monomials
 
 ZERO = FieldScalar(0)
@@ -112,6 +114,64 @@ def test_rref_is_reduced_echelon_and_spans_the_rows():
             assert combo == list(row)
         early_stops += len(pivots) == len(a) and pivots[-1] < cols - 1
     assert early_stops
+
+
+def full_row_rref(a, cols):
+    """Reference Gauss-Jordan that scales and subtracts whole rows, zero
+    entries included; same contract as linalg._rref."""
+    rows = len(a)
+    pivots = []
+    for col in range(cols):
+        if len(pivots) == rows:
+            break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, rows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = a[rank][col].inverse()
+        a[rank] = [v * inv for v in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col]:
+                c = a[r][col]
+                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def test_rref_matches_the_full_row_reference():
+    # every row, those past the pivots and the columns past cols included
+    rng = random.Random(416)
+    cases = [(a, cols) for seed in (411, 412, 414, 415, 417)
+             for a in shaped_matrices(seed)
+             for cols in range(max(len(a[0]) - 2, 1), len(a[0]) + 1)]
+    for n in (1, 2, 3):
+        for lam in partitions_spn(n):
+            ad = [list(row) for row in _ad_flat(nilpotent_rep(lam), n)]
+            extra = rand_mat(rng, len(ad), 2, with_root=True)
+            cases.append((ad, len(ad[0])))
+            cases.append(([row + more for row, more in zip(ad, extra)], len(ad[0])))
+    partial = 0
+    for a, cols in cases:
+        want, got = [list(row) for row in a], [list(row) for row in a]
+        assert _rref(got, cols) == full_row_rref(want, cols)
+        assert got == want
+        partial += cols < len(a[0])
+    assert partial
+
+
+def test_solution_space_is_solve_and_nullspace():
+    rng = random.Random(418)
+    verdicts = set()
+    for seed in (413, 414, 419):
+        for a in shaped_matrices(seed):
+            x = [fs(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in a[0]]
+            for b in (mat_vec(a, x), rand_mat(rng, 1, len(a), with_root=True)[0]):
+                sol = solve(a, b)
+                assert solution_space(a, b) == (sol, nullspace(a))
+                verdicts.add(sol is not None)
+    assert verdicts == {True, False}
+    assert solution_space([], []) == ([], [])
 
 
 def test_row_basis_is_reduced_echelon_and_spans_the_rows():

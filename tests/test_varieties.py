@@ -45,6 +45,7 @@ from spnil.varieties import (
     _pairing,
     _split,
     _stratum_frame,
+    _trace_form,
     embedding_pullback_check,
     full_registry,
     hilbert_compare,
@@ -300,24 +301,42 @@ def test_flat_isotropy_matches_pairing_oracle():
                        for p in range(len(parts))
                        for q in range(p + 1, len(parts)))
 
+    points = [sample_xnil_point(lam, seed=seed)
+              for n in (1, 2) for lam in partitions_spn(n) for seed in (0, 1)]
+    points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
     flipped = 0
-    for n in (1, 2):
-        nn = sp_dim(n)
-        for lam in partitions_spn(n):
-            for seed in (0, 1):
-                pt = sample_xnil_point(lam, seed=seed)
-                kernel = nullspace(_jacobian_at(pt)[1])
-                frame = _stratum_frame(pt)
-                assert _isotropic(kernel, n) is oracle(kernel, n) is False
-                assert _isotropic(frame, n) is oracle(frame, n) is True
-                # doubling the i part scales the omega term by four and
-                # leaves the trace terms alone
-                rescaled = [v[:2 * nn] + [c * 2 for c in v[2 * nn:]]
-                            for v in frame]
-                answer = _isotropic(rescaled, n)
-                assert answer is oracle(rescaled, n)
-                flipped += answer is False
+    for pt in points:
+        n, nn = pt.n, sp_dim(pt.n)
+        kernel = nullspace(_jacobian_at(pt)[1])
+        frame = _stratum_frame(pt)
+        assert _isotropic(kernel, n) is oracle(kernel, n) is False
+        assert _isotropic(frame, n) is oracle(frame, n) is True
+        # doubling the i part scales the omega term by four and
+        # leaves the trace terms alone
+        rescaled = [v[:2 * nn] + [c * 2 for c in v[2 * nn:]]
+                    for v in frame]
+        answer = _isotropic(rescaled, n)
+        assert answer is oracle(rescaled, n)
+        flipped += answer is False
+        for edge in ([], kernel[:1], frame[:1]):
+            assert _isotropic(edge, n) is oracle(edge, n) is True
     assert flipped > 0
+
+
+def test_trace_form_gives_each_basis_element_one_partner():
+    # _isotropic maps each coordinate through the one form entry it lies in
+    for n in (1, 2, 3, 4):
+        nn, basis = sp_dim(n), sp_basis(n)
+        form = _trace_form(n)
+        assert sorted(c for p, q, _ in form for c in (p, q)) == list(range(2 * nn + 2 * n))
+        for p, q, c in form:
+            if p < nn:
+                assert nn <= q < 2 * nn
+                assert c == trace_pair(basis[p], basis[q - nn]) != 0
+            else:
+                assert (p, q, c) == (p, p + n, fs(-2))
+        assert sum(p < nn for p, _, _ in form) == nn
+        assert _trace_form(n) is form
 
 
 def per_move_frame(point):
