@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldScalar, ONE
-from .poly import MultiPoly, _add_terms, _scalar, divide_by_linear
+from .field import FieldScalar, ONE, _scalar
+from .poly import MultiPoly, _add_terms, divide_by_linear
 from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
 

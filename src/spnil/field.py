@@ -159,8 +159,9 @@ class FieldScalar:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self):
@@ -207,6 +208,15 @@ class FieldScalar:
 
     def __repr__(self):
         return f"FieldScalar({self})"
+
+
+def _scalar(c):
+    """c as a FieldScalar, the one entry rule of sparse terms and matrices:
+    anything but an int, Fraction or FieldScalar is refused."""
+    s = FieldScalar._coerce(c)
+    if s is None:
+        raise TypeError(f"coefficient {c!r} is not an exact scalar of Q(sqrt2)")
+    return s
 
 
 ZERO = FieldScalar(0)

@@ -15,7 +15,7 @@ changing any rank.
 from math import gcd
 
 from .field import FieldScalar
-from .poly import grlex_key, monomials
+from .poly import _int_pairs, grlex_key, monomials
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
@@ -149,22 +149,6 @@ def inverse(mat):
 # -- sparse ----------------------------------------------------------------
 
 
-def _int_rows(rows):
-    """Rational rows as integer rows (cleared denominators), else None."""
-    out = []
-    for row in rows:
-        ints = {}
-        lcm = 1
-        for c in row.values():
-            if not c.is_rational():
-                return None
-            lcm = lcm * c.den // gcd(lcm, c.den)
-        for k, c in row.items():
-            ints[k] = c.an * (lcm // c.den)
-        out.append(ints)
-    return out
-
-
 def _reduce_int(row):
     g = 0
     for v in row.values():
@@ -177,9 +161,10 @@ def _reduce_int(row):
 
 
 def _sparse_rank_int(rows, keyfn):
+    """Rank of rational rows, each cleared to integers as it is copied."""
     pivots = {}
     for row in rows:
-        r = dict(row)
+        r = {key: p for key, p, _ in _int_pairs(row)[1]}
         while r:
             col = max(r, key=keyfn)
             hit = pivots.get(col)
@@ -222,10 +207,9 @@ def _sparse_rank_field(rows, keyfn):
 
 def sparse_rank(rows, keyfn=grlex_key):
     """Exact rank of sparse rows (dicts col -> FieldScalar)."""
-    ints = _int_rows(rows)
-    if ints is not None:
-        return _sparse_rank_int(ints, keyfn)
-    return _sparse_rank_field(rows, keyfn)
+    if any(c.bn for row in rows for c in row.values()):
+        return _sparse_rank_field(rows, keyfn)
+    return _sparse_rank_int(rows, keyfn)
 
 
 def truncated_ideal_dim(gens, d, multiplier_filter=None):

@@ -1,29 +1,27 @@
-"""Sparse multivariate polynomials over Q(sqrt2).
+"""Sparse multivariate polynomials over Q(sqrt2), and the sparse-term
+container they share with the Weyl algebra and the oscillator module.
 
-A polynomial carries an immutable variable registry (a tuple of names) and a
-dict mapping dense exponent tuples (length = registry size) to nonzero
-FieldScalar coefficients.  Monomial comparisons use graded lexicographic
-order: compare total degree first, then the exponent tuple lexicographically.
+_Terms is a space (here a variable registry) and a dict mapping monomial keys
+to nonzero FieldScalar coefficients; it holds the one copy of the vector-space
+code: the checked constructor, addition, negation, scaling, equality and
+hashing.  A subclass adds its key rule and its own algebra.
+
+A polynomial carries an immutable variable registry (a tuple of names) and
+keys its terms by dense exponent tuples (length = registry size).  Monomial
+comparisons use graded lexicographic order: compare total degree first, then
+the exponent tuple lexicographically.
 """
 
+from math import lcm
 from operator import add
 
-from .field import FieldScalar, ONE
+from .field import FieldScalar, ONE, _scalar
 
 _ZERO = FieldScalar(0)
 
 
 def grlex_key(exp):
     return (sum(exp), exp)
-
-
-def _scalar(c):
-    """c as a FieldScalar; anything but an int, Fraction or FieldScalar is
-    refused, so term dicts hold field scalars only."""
-    s = FieldScalar._coerce(c)
-    if s is None:
-        raise TypeError(f"coefficient {c!r} is not an exact scalar of Q(sqrt2)")
-    return s
 
 
 def _add_terms(acc, items):
@@ -42,36 +40,97 @@ def _add_terms(acc, items):
     return acc
 
 
-class MultiPoly:
-    __slots__ = ("registry", "terms")
+def _int_pairs(terms):
+    """Clear the coefficients of terms to one common denominator d: returns d
+    and the list of (key, p, q) with coefficient (p + q*sqrt2)/d."""
+    d = lcm(*[c.den for c in terms.values()])
+    return d, [(key, c.an * (d // c.den), c.bn * (d // c.den)) for key, c in terms.items()]
 
-    def __init__(self, registry, terms=None):
-        self.registry = tuple(registry)
+
+class _Terms:
+    """A sparse sum of monomials over Q(sqrt2) in one space.
+
+    A subclass publishes the space slot under its own name (registry, or n)
+    by aliasing the slot descriptor, defines _key, which checks and returns
+    one monomial key, and sets _mismatch, the message of a space mismatch."""
+
+    __slots__ = ("_space", "terms")
+
+    def __init__(self, space, terms=None):
+        self._space = space
         clean = {}
         if terms:
-            width = len(self.registry)
-            for exp, c in terms.items():
-                if len(exp) != width:
-                    raise ValueError("exponent width does not match registry")
+            for key, c in terms.items():
+                key = self._key(key)
                 c = _scalar(c)
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[key] = c
         self.terms = clean
 
     @classmethod
-    def _of(cls, registry, terms):
-        """Trusted constructor: registry is a tuple and terms hold nonzero
-        FieldScalars on exponent tuples of its width."""
-        p = object.__new__(cls)
-        p.registry = registry
-        p.terms = terms
-        return p
-
-    # -- constructors ------------------------------------------------------
+    def _of(cls, space, terms):
+        """Trusted constructor: terms hold nonzero FieldScalars on keys that
+        pass the key rule of cls."""
+        t = object.__new__(cls)
+        t._space = space
+        t.terms = terms
+        return t
 
     @classmethod
-    def zero(cls, registry):
-        return cls(registry)
+    def zero(cls, space):
+        return cls(space)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self._space != other._space:
+            raise ValueError(self._mismatch)
+
+    def __add__(self, other):
+        if not isinstance(other, self.__class__):
+            # a scalar is promoted where the space has constants
+            c = FieldScalar._coerce(other)
+            constant = getattr(self, "constant", None)
+            if c is None or constant is None:
+                return NotImplemented
+            other = constant(self._space, c)
+        self._check(other)
+        return self._of(self._space, _add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self._space, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = _scalar(c)
+        return self._of(self._space, {k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        if not isinstance(other, self.__class__):
+            return NotImplemented
+        return self._space == other._space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space, frozenset(self.terms.items())))
+
+
+class MultiPoly(_Terms):
+    __slots__ = ()
+    registry = _Terms._space
+    _mismatch = "registry mismatch"
+
+    def __init__(self, registry, terms=None):
+        super().__init__(tuple(registry), terms)
+
+    def _key(self, exp):
+        if len(exp) != len(self.registry):
+            raise ValueError("exponent width does not match registry")
+        return tuple(exp)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, registry, c):
@@ -85,9 +144,6 @@ class MultiPoly:
         return cls(registry, {tuple(exp): ONE})
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def total_degree(self):
         """Maximal term degree; -1 for the zero polynomial."""
@@ -109,32 +165,7 @@ class MultiPoly:
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), _ZERO)
 
-    def _check(self, other):
-        if self.registry != other.registry:
-            raise ValueError("registry mismatch")
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            c = FieldScalar._coerce(other)
-            if c is None:
-                return NotImplemented
-            other = MultiPoly.constant(self.registry, c)
-        self._check(other)
-        return MultiPoly._of(self.registry, _add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiPoly._of(self.registry, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        c = _scalar(c)
-        if not c:
-            return MultiPoly(self.registry)
-        return MultiPoly._of(self.registry, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -155,14 +186,6 @@ class MultiPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.registry, frozenset(self.terms.items())))
 
     # -- calculus and substitution ------------------------------------------
 
@@ -186,7 +209,7 @@ class MultiPoly:
             v = c
             for i, k in enumerate(exp):
                 if k:
-                    v = v * values[i] ** k
+                    v = v * (values[i] if k == 1 else values[i] ** k)
             total = total + v
         return total
 

@@ -9,16 +9,12 @@ B, C symmetric.  The invariant pairing is the trace form Tr(ab).
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldScalar, SQRT2
+from .field import FieldScalar, SQRT2, _scalar
 from . import linalg
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
 _INV_SQRT2 = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
-
-
-def _coerce(x):
-    return x if isinstance(x, FieldScalar) else FieldScalar(x)
 
 
 class MatF:
@@ -27,7 +23,7 @@ class MatF:
     __slots__ = ("entries", "size", "_nz")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_coerce(v) for v in row) for row in entries)
+        rows = tuple(tuple(_scalar(v) for v in row) for row in entries)
         self.size = len(rows)
         for row in rows:
             if len(row) != self.size:
@@ -63,7 +59,7 @@ class MatF:
     @classmethod
     def unit(cls, size, i, j, c=1):
         rows = [[_ZERO] * size for _ in range(size)]
-        rows[i][j] = _coerce(c)
+        rows[i][j] = _scalar(c)
         return cls._of(rows)
 
     def __getitem__(self, ij):
@@ -90,7 +86,7 @@ class MatF:
         return MatF._of([[-a for a in row] for row in self.entries])
 
     def scale(self, c):
-        c = _coerce(c)
+        c = _scalar(c)
         return MatF._of([[c * a if a else a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
@@ -146,8 +142,8 @@ def omega_matrix(n):
 
 def omega(u, v):
     """Standard symplectic pairing u^T J v on coordinate vectors."""
-    cu = tuple(_coerce(x) for x in u)
-    cv = tuple(_coerce(x) for x in v)
+    cu = tuple(_scalar(x) for x in u)
+    cv = tuple(_scalar(x) for x in v)
     if len(cu) != len(cv) or len(cu) % 2:
         raise ValueError("size mismatch")
     n = len(cu) // 2
@@ -207,7 +203,7 @@ def raw_square(v):
     Pairing: trace_pair(-1/2 * raw_square(v), x) = 1/2 * omega(x v, v),
     the quadratic co-moment value of x at v.
     """
-    coords = [_coerce(x) for x in v]
+    coords = [_scalar(x) for x in v]
     m = len(coords)
     if m % 2:
         raise ValueError("vector must have even length")

@@ -5,16 +5,18 @@ commuting.  Elements are kept normal ordered (all x's left of all y's) as a
 dict mapping (x-exponents, y-exponents) to FieldScalar coefficients.  The
 oscillator module consists of (x_1...x_n)^(-1/2) times Laurent polynomials:
 monomials with exponents in Z - 1/2, stored as doubled (odd) integers, on
-which x_i acts by multiplication and y_i as d/dx_i.
+which x_i acts by multiplication and y_i as d/dx_i.  WeylElement and
+OscVector are both poly._Terms, the sparse-term container of MultiPoly, and
+add their key rules and their products to it.
 """
 
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .field import FieldScalar, ONE, HALF
-from .poly import MultiPoly, _add_terms, _scalar
+from .poly import MultiPoly, _Terms, _add_terms, _int_pairs
 from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
@@ -50,44 +52,19 @@ def _exchange(b, c):
     return tuple((_pack(xs + ys), w) for xs, ys, w in partial)
 
 
-def _int_pairs(terms):
-    """Clear the coefficients of terms to one common denominator d: returns d
-    and the list of (key, p, q) with coefficient (p + q*sqrt2)/d."""
-    d = 1
-    for c in terms.values():
-        d = lcm(d, c.den)
-    return d, [(key, c.an * (d // c.den), c.bn * (d // c.den)) for key, c in terms.items()]
+class WeylElement(_Terms):
+    __slots__ = ()
+    n = _Terms._space
+    _mismatch = "generator count mismatch"
 
-
-class WeylElement:
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        clean = {}
-        if terms:
-            for (xe, ye), c in terms.items():
-                if len(xe) != n or len(ye) != n:
-                    raise ValueError("exponent width does not match n")
-                if any(k < 0 for k in xe) or any(k < 0 for k in ye):
-                    raise ValueError("negative exponent")
-                c = _scalar(c)
-                if c:
-                    clean[(tuple(xe), tuple(ye))] = c
-        self.terms = clean
-
-    @classmethod
-    def _of(cls, n, terms):
-        """Trusted constructor: terms hold nonzero FieldScalars on
-        (x-exponents, y-exponents) tuple pairs of width n."""
-        w = object.__new__(cls)
-        w.n = n
-        w.terms = terms
-        return w
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def _key(self, key):
+        xe, ye = key
+        n = self.n
+        if len(xe) != n or len(ye) != n:
+            raise ValueError("exponent width does not match n")
+        if any(k < 0 for k in xe) or any(k < 0 for k in ye):
+            raise ValueError("negative exponent")
+        return (tuple(xe), tuple(ye))
 
     @classmethod
     def one(cls, n):
@@ -110,9 +87,6 @@ class WeylElement:
         ye[i] = 1
         return cls(n, {((0,) * n, tuple(ye)): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_even(self):
         return all((sum(xe) + sum(ye)) % 2 == 0 for xe, ye in self.terms)
 
@@ -126,29 +100,6 @@ class WeylElement:
         if not self.terms:
             return -1
         return max(sum(xe) + sum(ye) for xe, ye in self.terms)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("generator count mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            c = FieldScalar._coerce(other)
-            if c is None:
-                return NotImplemented
-            other = WeylElement.constant(self.n, c)
-        self._check(other)
-        return WeylElement._of(self.n, _add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeylElement._of(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = _scalar(c)
-        return WeylElement._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __mul__(self, other):
         """Normal-ordered product via y^b x^c = sum_k k! C(b,k) C(c,k) x^(c-k) y^(b-k).
@@ -187,14 +138,6 @@ class WeylElement:
 
     def commutator(self, other):
         return self * other - other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -362,61 +305,24 @@ def theta0(m):
     return LinearVectorField(n, MatF._of(ad_matrix(m, n)))
 
 
-class OscVector:
+class OscVector(_Terms):
     """Element of the oscillator module: exponents are half odd integers,
     stored doubled (so the vacuum is (-1, ..., -1), meaning each x_i^(-1/2))."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = _Terms._space
+    _mismatch = "rank mismatch"
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if len(exp) != n:
-                    raise ValueError("exponent width does not match n")
-                if any(e % 2 == 0 for e in exp):
-                    raise ValueError("doubled exponents must be odd")
-                c = _scalar(c)
-                if c:
-                    clean[tuple(exp)] = c
-        self.terms = clean
-
-    @classmethod
-    def _of(cls, n, terms):
-        """Trusted constructor: terms hold nonzero FieldScalars on doubled
-        odd exponent tuples of width n."""
-        v = object.__new__(cls)
-        v.n = n
-        v.terms = terms
-        return v
+    def _key(self, exp):
+        if len(exp) != self.n:
+            raise ValueError("exponent width does not match n")
+        if any(e % 2 == 0 for e in exp):
+            raise ValueError("doubled exponents must be odd")
+        return tuple(exp)
 
     @classmethod
     def vacuum(cls, n):
         return cls(n, {(-1,) * n: ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return OscVector._of(self.n, _add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(FieldScalar(-1))
-
-    def scale(self, c):
-        c = _scalar(c)
-        return OscVector._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
-
-    def __eq__(self, other):
-        if not isinstance(other, OscVector):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

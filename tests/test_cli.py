@@ -217,3 +217,23 @@ def test_lagrangian_reports_off_the_goldens_keep_their_bytes():
         code, out, _ = run(["verify", "lagrangian"] + args.split())
         assert code == 1, args
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
+
+
+def test_algebra_reports_off_the_goldens_keep_their_bytes():
+    # reports that reach MultiPoly, WeylElement and OscVector at sizes and
+    # seeds no golden covers
+    pinned = {
+        "verify weyl -n 2 --seed 5":
+            "22c84631cae65ca677aa37c6d10689bde1f30319958ac2f31d079c7e82d51192",
+        "verify dunkl -n 3 --seed 3":
+            "ce235de788d1537e757e8f9e61b9bb064e68094ce0d4fa989f25d11da3602959",
+        "verify relation -n 3 --seed 2":
+            "67eadde8b533c575af80a6c693e15c8687863e183e3bdee2dcb2dc0a0258f40b",
+        "radial -n 3": "a0ea786ffaf0295648c896be07762153c86bea0a40d15de4b97dd38c6a8ede8b",
+        "verify equivariance -n 2 --seed 4":
+            "2992aa61e192866d556eec63cee63d04f179cab6140ee76ba2f86f8423a93025",
+    }
+    for args, digest in pinned.items():
+        code, out, _ = run(args.split())
+        assert code == 0, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args

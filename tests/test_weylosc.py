@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from spnil.field import FieldScalar, HALF, ONE, fs
-from spnil.splie import MatF, RootDatumC, bracket, sp_basis, sp_dim
+from spnil.splie import MatF, RootDatumC, bracket, omega, raw_square, sp_basis, sp_dim
 from spnil.weylosc import (
     LinearVectorField,
     OscVector,
@@ -225,12 +225,44 @@ def test_scalar_entry_points_refuse_strings_and_floats():
     v = OscVector.vacuum(1)
     makers = (lambda c: MultiPoly.constant(("x",), c), x.scale,
               lambda c: WeylElement.constant(1, c), w.scale, v.scale,
-              lambda c: Params.of(c, 1), lambda c: Params.of(1, c))
+              lambda c: Params.of(c, 1), lambda c: Params.of(1, c),
+              lambda c: MatF([[c]]), MatF.identity(2).scale,
+              lambda c: MatF.unit(2, 0, 1, c), lambda c: omega([c, 1], [1, 0]),
+              lambda c: raw_square([c, 1]))
     for make in makers:
         for bad in ("1/2", 0.5):
             with pytest.raises(TypeError):
                 make(bad)
         assert make(Fraction(1, 2)) == make(fs(Fraction(1, 2)))
+
+
+def test_term_classes_share_one_vector_space_contract():
+    from spnil.poly import MultiPoly
+
+    # per class: an element, one in another space, and malformed keys
+    cases = (
+        (MultiPoly.variable(("x",), 0), MultiPoly.variable(("x", "y"), 0),
+         lambda key: MultiPoly(("x",), {key: 0}), [(1, 2), ()]),
+        (WeylElement.xgen(1, 0) + 1, WeylElement.xgen(2, 0),
+         lambda key: WeylElement(1, {key: 0}), [((1, 0), (0,)), ((1,), (-1,))]),
+        (OscVector.vacuum(1), OscVector.vacuum(2),
+         lambda key: OscVector(1, {key: 0}), [(1, 1), (2,)]),
+    )
+    for a, other, make, malformed in cases:
+        with pytest.raises(ValueError):
+            a + other
+        if not isinstance(a, OscVector):
+            with pytest.raises(ValueError):
+                a * other
+        assert not a == other and a != other
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+        twin = a + a - a
+        assert twin is not a and twin == a and hash(twin) == hash(a)
+        for key in malformed:
+            # the key rule runs even where the coefficient is zero
+            with pytest.raises(ValueError):
+                make(key)
+        assert make(next(iter(a.terms))).is_zero()
 
 
 def test_field_commutator_matches_dense_sums():
