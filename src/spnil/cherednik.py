@@ -126,11 +126,7 @@ def _reflections(n):
 
 
 def root_linear(root, registry):
-    p = MultiPoly.zero(registry)
-    for i, c in enumerate(root.coeffs):
-        if c:
-            p = p + MultiPoly.variable(registry, i).scale(c)
-    return p
+    return MultiPoly.linear(registry, dict(enumerate(root.coeffs)))
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Command-line surface for the exact verification suites.
 
-Subcommands: census (Jordan-type table with closure dimensions), verify
-(named invariant suites), hilbert (graded dimension comparison), radial
-(vacuum scalars and the radial operator identity), lemma-sl2
-(lowest-coefficient membership against the weight sign).
+Subcommands:
+  census     Jordan-type table with closure dimensions
+  verify     named invariant suites
+  hilbert    graded dimension comparison
+  radial     vacuum scalars and the radial operator identity
+  lemma-sl2  lowest-coefficient membership against the weight sign
 
-Reports are written to standard output as JSON (default) or CSV, with every
-scalar rendered as an exact fraction string.  Wall-clock time goes to the
-error stream so that stdout is byte-identical across runs with the same
-arguments.  Exit status: 0 all checks pass, 1 some check fails, 2 usage
-error.
+build_parser declares each subcommand once: its arguments, the bound of each
+argument as its argparse type, and its runner.  Reports are written to
+standard output as JSON (default) or CSV, with every scalar rendered as an
+exact fraction string.  Wall-clock time goes to the error stream so that
+stdout is byte-identical across runs with the same arguments.  Exit status:
+0 all checks pass, 1 some check fails, 2 usage error.
 """
 
 import argparse
@@ -66,19 +69,6 @@ from .cherednik import (
     radial_match,
 )
 
-SUITES = (
-    "theta1-hom",
-    "theta0-hom",
-    "minors",
-    "weyl",
-    "dunkl",
-    "relation",
-    "lagrangian",
-    "equivariance",
-    "embedding",
-    "all",
-)
-
 # keep pure-Python runtimes sane; everything else follows the global n <= 4
 _SUITE_CAP = {"theta1-hom": 3, "theta0-hom": 2, "minors": 3, "lagrangian": 2, "embedding": 3}
 
@@ -100,6 +90,11 @@ def _check(name, params, expected, actual, passed):
 def _tally(name, params, bad, noun, expected=None):
     """A check that counts its bad cases: it passes when there are none."""
     return _check(name, params, expected or f"0 {noun}", f"{bad} {noun}", bad == 0)
+
+
+def _verdict(name, params, expected, ok, yes, no):
+    """A yes/no check: its actual value reads yes when ok holds, else no."""
+    return _check(name, params, expected, yes if ok else no, ok)
 
 
 def _report(command, n, seed, checks):
@@ -148,32 +143,13 @@ def _homomorphism_checks(name, theta, n):
                    bad, "mismatches")]
 
 
-def suite_theta1_hom(n, rng, trials):
-    return _homomorphism_checks("theta1", theta1, n)
-
-
-def suite_theta0_hom(n, rng, trials):
-    return _homomorphism_checks("theta0", theta0, n)
-
-
 def suite_minors(n, rng, trials):
-    killed = theta1_kills_minors(n)
-    odd_zero = odd_char_coeffs_vanish(n)
     return [
-        _check(
-            "theta1 annihilates the 2x2 rank minors",
-            {"n": n},
-            "all minors map to 0",
-            "all zero" if killed else "nonzero image",
-            killed,
-        ),
-        _check(
-            "odd characteristic coefficients vanish on sp",
-            {"n": n},
-            "e_1, e_3, ... identically 0",
-            "all zero" if odd_zero else "nonzero coefficient",
-            odd_zero,
-        ),
+        _verdict("theta1 annihilates the 2x2 rank minors", {"n": n}, "all minors map to 0",
+                 theta1_kills_minors(n), "all zero", "nonzero image"),
+        _verdict("odd characteristic coefficients vanish on sp", {"n": n},
+                 "e_1, e_3, ... identically 0",
+                 odd_char_coeffs_vanish(n), "all zero", "nonzero coefficient"),
     ]
 
 
@@ -360,21 +336,15 @@ def suite_equivariance(n, rng, trials):
 
 
 def suite_embedding(n, rng, trials):
-    ok = embedding_pullback_check(n)
-    return [
-        _check(
-            "symplectic form pulls back through the embedding",
-            {"n": n},
-            "equality on all tangent pairs",
-            "equal" if ok else "mismatch",
-            ok,
-        )
-    ]
+    return [_verdict("symplectic form pulls back through the embedding", {"n": n},
+                     "equality on all tangent pairs",
+                     embedding_pullback_check(n), "equal", "mismatch")]
 
 
-_SUITE_FN = {
-    "theta1-hom": suite_theta1_hom,
-    "theta0-hom": suite_theta0_hom,
+# each suite is called as suite(n, rng, trials) and returns its checks
+SUITES = {
+    "theta1-hom": lambda n, rng, trials: _homomorphism_checks("theta1", theta1, n),
+    "theta0-hom": lambda n, rng, trials: _homomorphism_checks("theta0", theta0, n),
     "minors": suite_minors,
     "weyl": suite_weyl,
     "dunkl": suite_dunkl,
@@ -385,20 +355,21 @@ _SUITE_FN = {
 }
 
 
-def run_verify(suite, n, seed, trials):
-    rng = random.Random(seed)
-    if suite == "all":
-        checks = []
-        for name in SUITES[:-1]:
-            eff = min(n, _SUITE_CAP.get(name, 4))
-            if eff != n:
-                print(f"note: {name} capped at n={eff}", file=sys.stderr)
-            checks.extend(_SUITE_FN[name](eff, rng, trials))
-        return checks
-    return _SUITE_FN[suite](n, rng, trials)
+def run_verify(args):
+    rng = random.Random(args.seed)
+    if args.suite != "all":
+        return SUITES[args.suite](args.n, rng, args.trials)
+    checks = []
+    for name, suite in SUITES.items():
+        eff = min(args.n, _SUITE_CAP.get(name, 4))
+        if eff != args.n:
+            print(f"note: {name} capped at n={eff}", file=sys.stderr)
+        checks.extend(suite(eff, rng, args.trials))
+    return checks
 
 
-def run_census(n):
+def run_census(args):
+    n = args.n
     full = 2 * n * n + 2 * n
     checks = []
     for row in census(n):
@@ -422,22 +393,14 @@ def run_census(n):
     return checks
 
 
-def run_hilbert(n, dmax):
-    checks = []
-    for row in hilbert_compare(n, dmax):
-        checks.append(
-            _check(
-                "graded dimensions agree",
-                {"degree": row.degree},
-                str(row.dim_left),
-                str(row.dim_right),
-                row.equal,
-            )
-        )
-    return checks
+def run_hilbert(args):
+    return [_check("graded dimensions agree", {"degree": row.degree},
+                   str(row.dim_left), str(row.dim_right), row.equal)
+            for row in hilbert_compare(args.n, args.dmax)]
 
 
-def run_radial(n):
+def run_radial(args):
+    n = args.n
     checks = []
     datum = RootDatumC(n)
     for root in datum.positive_roots:
@@ -455,20 +418,14 @@ def run_radial(n):
                 str(value) == expected,
             )
         )
-    matched = radial_match(n)
-    checks.append(
-        _check(
-            "radial operator equals L_c at c=(-1/4,-1/2)",
-            {"n": n, "root_pairs": len(datum.positive_roots)},
-            "operators identical",
-            "identical" if matched else "different",
-            matched,
-        )
-    )
+    checks.append(_verdict("radial operator equals L_c at c=(-1/4,-1/2)",
+                           {"n": n, "root_pairs": len(datum.positive_roots)},
+                           "operators identical", radial_match(n), "identical", "different"))
     return checks
 
 
-def run_lemma_sl2(dim):
+def run_lemma_sl2(args):
+    dim = args.n
     checks = []
     for k in range(dim):
         member = lowest_coefficient_membership([dim], k)
@@ -486,35 +443,51 @@ def run_lemma_sl2(dim):
     return checks
 
 
+# the CSV layout of a report, by command: its header and the row of one check
+_CSV = {
+    "census": (
+        ["lambda", "orbit_dim", "vplus_dim", "xlambda_dim", "is_component"],
+        lambda c, p: ["(" + ",".join(str(v) for v in p["lambda"]) + ")", p["orbit_dim"],
+                      p["vplus_dim"], p["xlambda_dim"], p["is_component"]],
+    ),
+    "hilbert": (
+        ["degree", "dim_left", "dim_right", "equal"],
+        lambda c, p: [p["degree"], c["expected"], c["actual"], c["pass"]],
+    ),
+}
+_CSV_CHECKS = (
+    ["name", "params", "expected", "actual", "pass"],
+    lambda c, p: [c["name"], ";".join(f"{k}={v}" for k, v in p.items()),
+                  c["expected"], c["actual"], c["pass"]],
+)
+
+
 def emit_report(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    header, row = _CSV.get(report["command"], _CSV_CHECKS)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if report["command"] == "census":
-        writer.writerow(["lambda", "orbit_dim", "vplus_dim", "xlambda_dim", "is_component"])
-        for c in report["checks"]:
-            p = c["params"]
-            writer.writerow(
-                [
-                    "(" + ",".join(str(v) for v in p["lambda"]) + ")",
-                    p["orbit_dim"],
-                    p["vplus_dim"],
-                    p["xlambda_dim"],
-                    p["is_component"],
-                ]
-            )
-        return out.getvalue()
-    if report["command"] == "hilbert":
-        writer.writerow(["degree", "dim_left", "dim_right", "equal"])
-        for c in report["checks"]:
-            writer.writerow([c["params"]["degree"], c["expected"], c["actual"], c["pass"]])
-        return out.getvalue()
-    writer.writerow(["name", "params", "expected", "actual", "pass"])
-    for c in report["checks"]:
-        params = ";".join(f"{k}={v}" for k, v in c["params"].items())
-        writer.writerow([c["name"], params, c["expected"], c["actual"], c["pass"]])
+    writer.writerow(header)
+    writer.writerows(row(c, c["params"]) for c in report["checks"])
     return out.getvalue()
+
+
+def _bounded(lo, hi, message):
+    """The argparse type of an int argument bounded to lo..hi: a value out of
+    range is refused with message, which argparse reports as a usage error."""
+    def parse(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = "int"  # argparse names a non-integer "invalid int value"
+    return parse
+
+
+def _rank(command):
+    return _bounded(1, 4, f"{command} requires 1 <= n <= 4")
 
 
 def build_parser():
@@ -524,68 +497,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", help="Jordan-type table with closure dimensions")
-    p.add_argument("-n", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("-n", type=int, default=2)
+    p = command("census", run_census, "Jordan-type table with closure dimensions")
+    p.add_argument("-n", type=_rank("census"), default=2)
+
+    p = command("verify", run_verify, "run a named invariant suite")
+    p.add_argument("suite", choices=(*SUITES, "all"))
+    p.add_argument("-n", type=_rank("verify"), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--trials", type=_bounded(1, MAX_TRIALS, f"trials must lie in 1..{MAX_TRIALS}"),
+                   default=20)
 
-    p = sub.add_parser("hilbert", help="graded dimension comparison")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=6, dest="dmax")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = command("hilbert", run_hilbert, "graded dimension comparison")
+    p.add_argument("-n", type=_bounded(1, 1, "hilbert is implemented for n = 1 only"), default=1)
+    p.add_argument("--max-degree", type=_bounded(0, 8, "max degree must lie in 0..8"), default=6,
+                   dest="dmax")
 
-    p = sub.add_parser("radial", help="vacuum scalars and the radial identity")
-    p.add_argument("-n", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = command("radial", run_radial, "vacuum scalars and the radial identity")
+    p.add_argument("-n", type=_rank("radial"), default=2)
 
-    p = sub.add_parser("lemma-sl2", help="lowest-coefficient membership by weight")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = command("lemma-sl2", run_lemma_sl2, "lowest-coefficient membership by weight")
+    # stored as n, the field of the report that carries the dimension
+    p.add_argument("--dim", type=_bounded(1, 12, "dim must lie in 1..12"), default=4, dest="n",
+                   metavar="DIM")
 
+    # last on every command, where --help lists it
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
-
-    seed = getattr(args, "seed", 0)
-    n = getattr(args, "n", 0)
-
-    if args.command == "census":
-        if not 1 <= args.n <= 4:
-            parser.error("census requires 1 <= n <= 4")
-        checks = run_census(args.n)
-    elif args.command == "verify":
-        if not 1 <= args.n <= 4:
-            parser.error("verify requires 1 <= n <= 4")
-        if not 1 <= args.trials <= MAX_TRIALS:
-            parser.error(f"trials must lie in 1..{MAX_TRIALS}")
-        checks = run_verify(args.suite, args.n, args.seed, args.trials)
-    elif args.command == "hilbert":
-        if args.n != 1:
-            parser.error("hilbert is implemented for n = 1 only")
-        if not 0 <= args.dmax <= 8:
-            parser.error("max degree must lie in 0..8")
-        checks = run_hilbert(args.n, args.dmax)
-    elif args.command == "radial":
-        if not 1 <= args.n <= 4:
-            parser.error("radial requires 1 <= n <= 4")
-        checks = run_radial(args.n)
-    else:
-        if not 1 <= args.dim <= 12:
-            parser.error("dim must lie in 1..12")
-        n = args.dim
-        checks = run_lemma_sl2(args.dim)
-
-    report = _report(args.command, n, seed, checks)
+    report = _report(args.command, args.n, getattr(args, "seed", 0), args.run(args))
     sys.stdout.write(emit_report(report, args.format))
     elapsed = time.monotonic() - start
     print(f"wall time: {elapsed:.3f}s", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Scalars are a + b*sqrt2 with a, b exact rationals.  Internally a scalar is
 kept as an integer triple (an, bn, den) meaning (an + bn*sqrt2)/den with
-den > 0 and gcd(an, bn, den) = 1, so equality and hashing are structural.
+den > 0 and gcd(an, bn, den) = 1, so equality is structural.  A rational
+scalar hashes as the int or Fraction it equals, as it compares equal to it.
 """
 
 from fractions import Fraction
@@ -178,9 +179,7 @@ class FieldScalar:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 with 2 b^2
-        if a * a == 2 * b * b:  # impossible over Q, kept for clarity
-            return 0
+        # opposite signs: compare a^2 with 2 b^2, never equal as sqrt2 is irrational
         if a > 0:
             return 1 if a * a > 2 * b * b else -1
         return -1 if a * a > 2 * b * b else 1
@@ -192,6 +191,9 @@ class FieldScalar:
         return self.an == o.an and self.bn == o.bn and self.den == o.den
 
     def __hash__(self):
+        # a rational scalar hashes as the int or Fraction it equals
+        if self.bn == 0:
+            return hash(self.an) if self.den == 1 else hash(Fraction(self.an, self.den))
         return hash((self.an, self.bn, self.den))
 
     def __str__(self):

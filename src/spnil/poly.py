@@ -137,11 +137,22 @@ class MultiPoly(_Terms):
         return cls(registry, {(0,) * len(tuple(registry)): c})
 
     @classmethod
-    def variable(cls, registry, idx):
+    def linear(cls, registry, coeffs):
+        """The linear form sum of c * x_idx over the items idx: c of coeffs;
+        a zero c adds no term."""
         registry = tuple(registry)
-        exp = [0] * len(registry)
-        exp[idx] = 1
-        return cls(registry, {tuple(exp): ONE})
+        terms = {}
+        for idx, c in coeffs.items():
+            c = _scalar(c)
+            if c:
+                exp = [0] * len(registry)
+                exp[idx] = 1
+                terms[tuple(exp)] = c
+        return cls._of(registry, terms)
+
+    @classmethod
+    def variable(cls, registry, idx):
+        return cls.linear(registry, {idx: ONE})
 
     # -- basic queries -----------------------------------------------------
 

@@ -65,14 +65,8 @@ def _generic(registry, offset, n):
     """Generic sp(2n) matrix: entries linear in registry slots offset+k."""
     basis = sp_basis(n)
     size = 2 * n
-    rows = [[MultiPoly.zero(registry) for _ in range(size)] for _ in range(size)]
-    for k, b in enumerate(basis):
-        var = MultiPoly.variable(registry, offset + k)
-        for i in range(size):
-            for j in range(size):
-                if b.entries[i][j]:
-                    rows[i][j] = rows[i][j] + var.scale(b.entries[i][j])
-    return rows
+    return [[MultiPoly.linear(registry, {offset + k: b.entries[i][j] for k, b in enumerate(basis)})
+             for j in range(size)] for i in range(size)]
 
 
 def _pm_mul(a, b, registry):
@@ -112,7 +106,7 @@ def _raw_square_symbolic(registry, offset, n):
     return [[u[i] * vtj[j] for j in range(size)] for i in range(size)]
 
 
-def _minors2(m, registry):
+def _minors2(m):
     size = len(m)
     out = []
     for r1 in range(size):
@@ -166,10 +160,10 @@ def ideal_generators(kind, n):
         x = _generic(registry, 0, n)
         y = _generic(registry, nn, n)
         comm = _pm_sub(_pm_mul(x, y, registry), _pm_mul(y, x, registry))
-        return _minors2(comm, registry)
+        return _minors2(comm)
     if kind == "K":
         registry = tuple(f"x{k}" for k in range(nn))
-        return _minors2(_generic(registry, 0, n), registry)
+        return _minors2(_generic(registry, 0, n))
     if kind == "NIL":
         registry = tuple(f"y{k}" for k in range(nn))
         return [_pm_pair(p, p, registry)

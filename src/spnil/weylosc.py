@@ -172,15 +172,10 @@ def classical_comoment(m):
     size = m.size
     n = size // 2
     registry = v_registry(n)
-    var = [MultiPoly.variable(registry, i) for i in range(size)]
-    w = [var[n + i] for i in range(n)] + [var[i] for i in range(n)]
-    mw = []
-    for i in range(size):
-        p = MultiPoly.zero(registry)
-        for j in range(size):
-            if m.entries[i][j]:
-                p = p + w[j].scale(m.entries[i][j])
-        mw.append(p)
+    # w[j] is v_j*, the registry variable (j + n) mod 2n; mw[i] is (m v)_i
+    w = [MultiPoly.variable(registry, (j + n) % size) for j in range(size)]
+    mw = [MultiPoly.linear(registry, {(j + n) % size: c for j, c in enumerate(row)})
+          for row in m.entries]
     total = MultiPoly.zero(registry)
     for i in range(n):
         total = total + mw[i] * w[n + i] - mw[n + i] * w[i]
@@ -280,11 +275,8 @@ class LinearVectorField:
             dk = p.partial(k)
             if dk.is_zero():
                 continue
-            image = MultiPoly.zero(p.registry)
-            for l in range(size):
-                c = self.mat.entries[l][k]
-                if c:
-                    image = image + MultiPoly.variable(p.registry, l).scale(c)
+            image = MultiPoly.linear(p.registry,
+                                     {l: row[k] for l, row in enumerate(self.mat.entries)})
             out = out + dk * image
         return out
 

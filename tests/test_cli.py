@@ -4,17 +4,21 @@ import contextlib
 import hashlib
 import io
 import json
+import argparse
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import spnil
-from spnil.cli import MAX_TRIALS, main
+import spnil.cli
+from spnil.cli import MAX_TRIALS, SUITES, _SUITE_CAP, build_parser, main
 
-GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "perfbench" / "golden.json"
 
 
 def run(argv):
@@ -31,6 +35,7 @@ def run_expecting_usage_error(argv):
             main(argv)
     assert exc.value.code == 2
     assert out.getvalue() == ""
+    return err.getvalue()
 
 
 def test_passing_suites_exit_zero():
@@ -59,23 +64,42 @@ def test_lagrangian_suite_reports_the_failing_rank_check():
 def test_usage_errors_exit_two():
     run_expecting_usage_error([])
     run_expecting_usage_error(["verify", "unknown-suite", "-n", "1"])
-    run_expecting_usage_error(["verify", "weyl", "-n", "5"])
-    run_expecting_usage_error(["verify", "weyl", "-n", "0"])
-    run_expecting_usage_error(["verify", "weyl", "-n", "1", "--trials", "0"])
-    run_expecting_usage_error(["verify", "lagrangian", "-n", "2", "--trials",
-                               str(MAX_TRIALS + 1)])
-    run_expecting_usage_error(["verify", "lagrangian", "-n", "2", "--trials",
-                               "10000000"])
     run_expecting_usage_error(["verify", "weyl", "-n", "1", "--format", "xml"])
-    run_expecting_usage_error(["census", "-n", "0"])
-    run_expecting_usage_error(["census", "-n", "5"])
-    run_expecting_usage_error(["hilbert", "-n", "2"])
-    run_expecting_usage_error(["hilbert", "-n", "1", "--max-degree", "9"])
-    run_expecting_usage_error(["hilbert", "--max-degree", "-1"])
-    run_expecting_usage_error(["radial", "-n", "0"])
-    run_expecting_usage_error(["radial", "-n", "5"])
-    run_expecting_usage_error(["lemma-sl2", "--dim", "0"])
-    run_expecting_usage_error(["lemma-sl2", "--dim", "13"])
+    run_expecting_usage_error(["census", "-n", "abc"])
+    # each bound is named on stderr, after the flag it belongs to
+    bounds = {
+        "verify weyl -n 5": "argument -n: verify requires 1 <= n <= 4",
+        "verify weyl -n 0": "argument -n: verify requires 1 <= n <= 4",
+        "verify weyl -n 1 --trials 0": f"argument --trials: trials must lie in 1..{MAX_TRIALS}",
+        f"verify lagrangian -n 2 --trials {MAX_TRIALS + 1}": f"1..{MAX_TRIALS}",
+        "verify lagrangian -n 2 --trials 10000000": f"1..{MAX_TRIALS}",
+        "census -n 0": "argument -n: census requires 1 <= n <= 4",
+        "census -n 5": "1 <= n <= 4",
+        "hilbert -n 2": "argument -n: hilbert is implemented for n = 1 only",
+        "hilbert -n 1 --max-degree 9": "argument --max-degree: max degree must lie in 0..8",
+        "hilbert --max-degree -1": "0..8",
+        "radial -n 0": "argument -n: radial requires 1 <= n <= 4",
+        "radial -n 5": "1 <= n <= 4",
+        "lemma-sl2 --dim 0": "argument --dim: dim must lie in 1..12",
+        "lemma-sl2 --dim 13": "1..12",
+    }
+    for argv, bound in bounds.items():
+        assert bound in run_expecting_usage_error(argv.split()), argv
+
+
+def test_every_capped_suite_is_a_suite():
+    assert set(_SUITE_CAP) <= set(SUITES)
+
+
+def test_docs_list_the_suites_and_subcommands_of_the_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Suites: (.*?)\.", readme, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == [*SUITES, "all"]
+    doc = spnil.cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    documented = [line.split()[0] for line in doc.splitlines()]
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == list(commands.choices)
 
 
 def test_census_csv_bytes_are_frozen():
@@ -216,6 +240,25 @@ def test_lagrangian_reports_off_the_goldens_keep_their_bytes():
     for args, digest in pinned.items():
         code, out, _ = run(["verify", "lagrangian"] + args.split())
         assert code == 1, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
+
+
+def test_csv_reports_keep_their_bytes():
+    # CSV layouts of every report kind but census, whose bytes are frozen above
+    pinned = {
+        "hilbert -n 1 --max-degree 4":
+            (0, "e7165fec6513e98d01683f2c3517bfe08f2363a95b29108a27cdd433991bcb7f"),
+        "verify weyl -n 1":
+            (0, "72dd7d5821017181653946c5f25f6ec3527cefdf3bc248af959b902b377986fa"),
+        "verify lagrangian -n 1 --trials 3":
+            (1, "818ea35ff0ac0e7e01b4bf426b267d8f05bb18f9d5cef5dd615507ba6121354f"),
+        "radial -n 2": (0, "b054a4d00483757f0a9ae669a229d344743ba4f70a1998be0ebdee30fda486d1"),
+        "lemma-sl2 --dim 5":
+            (0, "dee81842cb380af906b2d1ff3d9b922f2a95ac79598ac9adfdd43cb442b1fcbb"),
+    }
+    for args, (status, digest) in pinned.items():
+        code, out, _ = run(args.split() + ["--format", "csv"])
+        assert code == status, args
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
 
 

@@ -93,6 +93,20 @@ def test_hashable_and_usable_as_dict_key():
     assert d[fs(0, 1)] == "s"
 
 
+def test_rational_scalars_hash_as_the_numbers_they_equal():
+    # == already holds between a rational scalar and its int or Fraction, so
+    # sets and dict lookups must treat them as one key
+    for value in (0, 2, -7, 10 ** 30, Fraction(1, 2), Fraction(-5, 12)):
+        s = FieldScalar(value)
+        assert s == value and hash(s) == hash(value)
+        assert len({s, value}) == 1
+        assert {value: "a"}.get(s) == "a"
+        assert {s: "a"}.get(value) == "a"
+    # an irrational scalar equals no rational, and its hash stays structural
+    assert hash(fs(1, 1)) == hash((1, 1, 1))
+    assert fs(Fraction(1, 2), 3) != Fraction(1, 2)
+
+
 def test_floats_are_refused():
     # a float such as 0.1 is not the rational it prints as, so nothing
     # converts one silently: construction refuses it like the operators do

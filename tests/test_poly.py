@@ -36,6 +36,16 @@ def test_variable_and_eval():
     assert b.eval([FieldScalar(2), FieldScalar(7), FieldScalar(-1)]) == FieldScalar(7)
 
 
+def test_linear_form_sums_its_scaled_variables():
+    lin = MultiPoly.linear(REG, {0: 2, 2: Fraction(-1, 3), 1: 0})
+    assert lin == MultiPoly.variable(REG, 0).scale(2) - MultiPoly.variable(REG, 2).scale(
+        Fraction(1, 3))
+    assert (1, 0, 0) in lin.terms and (0, 1, 0) not in lin.terms
+    assert MultiPoly.linear(REG, {}).is_zero()
+    with pytest.raises(TypeError):
+        MultiPoly.linear(REG, {0: 0.5})
+
+
 def test_product_evaluates_pointwise():
     rng = random.Random(91)
     for _ in range(25):
