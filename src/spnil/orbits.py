@@ -15,12 +15,13 @@ from .field import FieldScalar
 from . import linalg
 from .splie import (
     MatF,
+    ad_matrix,
     bracket,
     centralizer_dim,
+    coords_of,
     is_nilpotent,
     raw_square,
     require_sp,
-    sp_basis,
     sp_dim,
 )
 
@@ -50,16 +51,6 @@ def partitions_spn(n):
 def component_types(n):
     """The subfamily with every part even."""
     return [lam for lam in partitions_spn(n) if all(p % 2 == 0 for p in lam)]
-
-
-def _flat(m):
-    """Entries of a matrix, row by row."""
-    return [v for row in m.entries for v in row]
-
-
-def _ad_flat(y, n):
-    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
-    return list(zip(*(_flat(bracket(b, y)) for b in sp_basis(n))))
 
 
 def nilpotent_rep(lam):
@@ -214,8 +205,8 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     n = y.size // 2
     plus = positive_slots(sl2_complete(y).h)
     rest = tuple(i for i in range(2 * n) if i not in plus)
-    # x solves [x, y] = -raw_square(v) exactly when -x solves [y, x] = ...
-    mat = _ad_flat(y, n)
+    # x solves [y, x] = -raw_square(v) exactly when -x solves [y, x] = raw_square(v)
+    mat = ad_matrix(y, n)
 
     def combo(slots, coeffs):
         out = [_ZERO] * (2 * n)
@@ -224,7 +215,7 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
         return out
 
     def solvable(v):
-        return linalg.solve(mat, _flat(-raw_square(v))) is not None
+        return linalg.solve(mat, coords_of(raw_square(v), n)) is not None
 
     rng = random.Random(seed)
     ok = True

@@ -19,6 +19,7 @@ from . import linalg
 from .splie import (
     MatF,
     RootDatumC,
+    ad_matrix,
     bracket,
     coords_of,
     dual_basis,
@@ -31,7 +32,7 @@ from .splie import (
     trace_pair,
 )
 from .weylosc import classical_comoment
-from .orbits import _ad_flat, _flat, nilpotent_rep, positive_slots, sl2_complete
+from .orbits import nilpotent_rep, positive_slots, sl2_complete
 
 _ZERO = FieldScalar(0)
 
@@ -258,7 +259,7 @@ def sample_xnil_point(lam, seed=0):
         y = g @ y @ ginv
         vec = g.apply(vec)
 
-    sol, kernel = linalg.solution_space(_ad_flat(y, n), _flat(-raw_square(vec)))
+    sol, kernel = linalg.solution_space(ad_matrix(y, n), coords_of(raw_square(vec), n))
     if sol is None:
         raise RuntimeError("moment equation unexpectedly unsolvable")
     for z in kernel:
@@ -474,19 +475,22 @@ def stratum_tangent_check(point):
 def _stratum_frame(point):
     """The flat tangent frame of stratum_tangent_check at point.
 
-    Beside the conjugation directions, one kernel of the stacked matrix
-    [ad y | polar(u_1) ... polar(u_k)], u_1 .. u_k a basis of the half space,
-    gives the centralizer shifts and the vector moves: a kernel vector (w, c)
-    becomes (w, 0, sum c_k u_k).  A move with no solution lowers the rank.
+    The conjugation direction ([a, x], [a, y], a i) is minus column a of
+    ad x and of ad y, where ad_matrix(y, n) sends w to [y, w].  One kernel of
+    the stacked matrix [ad y | -polar(u_1) ... -polar(u_k)] in sp
+    coordinates, u_1 .. u_k a basis of the half space, gives the centralizer
+    shifts and the vector moves: a kernel vector (w, c) has [w, y] +
+    sum c_k polar(u_k) = 0 and becomes (w, 0, sum c_k u_k).  A move with no
+    solution lowers the rank.
     """
     n, nn, ivec = point.n, sp_dim(point.n), list(point.i)
     half = positive_weight_space(point.y)
-    polars = [_flat(raw_square([p + q for p, q in zip(ivec, u)]) - raw_square(ivec)
-                    - raw_square(u)) for u in half]
-    stacked = [list(row) + [p[r] for p in polars]
-               for r, row in enumerate(_ad_flat(point.y, n))]
-    frame = [coords_of(bracket(a, point.x), n) + coords_of(bracket(a, point.y), n)
-             + a.apply(ivec) for a in sp_basis(n)]
+    ad_y = ad_matrix(point.y, n)
+    polars = [coords_of(raw_square(ivec) + raw_square(u)
+                        - raw_square([p + q for p, q in zip(ivec, u)]), n) for u in half]
+    stacked = [row + [p[r] for p in polars] for r, row in enumerate(ad_y)]
+    frame = [[-c for c in col_x + col_y] + a.apply(ivec)
+             for a, col_x, col_y in zip(sp_basis(n), zip(*ad_matrix(point.x, n)), zip(*ad_y))]
     for z in linalg.nullspace(stacked):
         u = [sum((c * v[a] for c, v in zip(z[nn:], half) if c), _ZERO) for a in range(2 * n)]
         frame.append(z[:nn] + [_ZERO] * nn + u)

@@ -263,8 +263,8 @@ def test_csv_reports_keep_their_bytes():
 
 
 def test_algebra_reports_off_the_goldens_keep_their_bytes():
-    # reports that reach MultiPoly, WeylElement and OscVector at sizes and
-    # seeds no golden covers
+    # reports that reach MultiPoly, WeylElement and OscVector, and theta0
+    # through splie.ad_matrix, at sizes and seeds no golden covers
     pinned = {
         "verify weyl -n 2 --seed 5":
             "22c84631cae65ca677aa37c6d10689bde1f30319958ac2f31d079c7e82d51192",
@@ -275,6 +275,8 @@ def test_algebra_reports_off_the_goldens_keep_their_bytes():
         "radial -n 3": "a0ea786ffaf0295648c896be07762153c86bea0a40d15de4b97dd38c6a8ede8b",
         "verify equivariance -n 2 --seed 4":
             "2992aa61e192866d556eec63cee63d04f179cab6140ee76ba2f86f8423a93025",
+        "verify theta0-hom -n 3":
+            "0ee90a1fbf7d0541af9e778ed0738d1e2c1203c6c0d6ea53478df0896e4e760a",
     }
     for args, digest in pinned.items():
         code, out, _ = run(args.split())

@@ -17,10 +17,17 @@ from spnil.linalg import (
     sparse_rank,
     truncated_ideal_dim,
 )
-from spnil.orbits import _ad_flat, nilpotent_rep, partitions_spn
+from spnil.orbits import nilpotent_rep, partitions_spn
 from spnil.poly import MultiPoly, count_monomials
+from spnil.splie import bracket, sp_basis
 
 ZERO = FieldScalar(0)
+
+
+def _ad_flat(y, n):
+    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
+    return list(zip(*([v for row in bracket(b, y).entries for v in row]
+                      for b in sp_basis(n))))
 
 
 def rand_mat(rng, rows, cols, with_root=False):

@@ -8,7 +8,6 @@ from spnil import linalg
 from spnil.field import FieldScalar
 from spnil.orbits import (
     CensusRow,
-    _flat,
     census,
     component_types,
     lowest_coefficient_membership,
@@ -107,6 +106,11 @@ def test_sl2_complete_relations():
             size = 2 * n
             assert all(t.h.entries[i][j].is_zero()
                        for i in range(size) for j in range(size) if i != j)
+
+
+def _flat(m):
+    """Entries of a matrix, row by row."""
+    return [v for row in m.entries for v in row]
 
 
 def diagonal_h_system(e):

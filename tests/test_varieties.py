@@ -10,10 +10,8 @@ from fractions import Fraction
 
 from spnil.field import FieldScalar, fs
 from spnil.poly import MultiPoly
-from spnil.linalg import dense_rank, nullspace, solve, truncated_ideal_dim
+from spnil.linalg import dense_rank, nullspace, solution_space, solve, truncated_ideal_dim
 from spnil.orbits import (
-    _ad_flat,
-    _flat,
     census,
     component_types,
     nilpotent_rep,
@@ -22,6 +20,7 @@ from spnil.orbits import (
 )
 from spnil.splie import (
     MatF,
+    ad_matrix,
     bracket,
     coords_of,
     is_nilpotent,
@@ -339,6 +338,16 @@ def test_trace_form_gives_each_basis_element_one_partner():
         assert _trace_form(n) is form
 
 
+def _flat(m):
+    """Entries of a matrix, row by row."""
+    return [v for row in m.entries for v in row]
+
+
+def _ad_flat(y, n):
+    """Matrix of b -> [b, y] from sp_basis(n) coordinates to flat entries."""
+    return list(zip(*(_flat(bracket(b, y)) for b in sp_basis(n))))
+
+
 def per_move_frame(point):
     """Reference stratum frame: one centralizer nullspace of ad y and one
     solve per half space vector for its move."""
@@ -369,6 +378,34 @@ def test_stacked_kernel_frame_spans_the_per_move_frame():
         old, new = per_move_frame(pt), _stratum_frame(pt)
         assert len(old) == len(new)
         assert dense_rank(old) == dense_rank(new) == dense_rank(old + new)
+        # the conjugation rows, read off ad x and ad y, are the brackets
+        nn = sp_dim(pt.n)
+        assert new[:nn] == old[:nn]
+
+
+def test_coordinate_systems_reduce_like_the_flat_ones():
+    # ad y in sp coordinates is the flat system times the injective map
+    # coords_of (up to sign), so both have one reduced echelon form: the
+    # particular solution and kernel basis must agree exactly
+    for n in (1, 2, 3):
+        for lam in partitions_spn(n):
+            for seed in range(3):
+                pt = sample_xnil_point(lam, seed=seed)
+                ivec = list(pt.i)
+                flat_ad, coord_ad = _ad_flat(pt.y, n), ad_matrix(pt.y, n)
+                # the sampler: [x, y] = -raw_square(i)
+                assert (solution_space(coord_ad, coords_of(raw_square(ivec), n))
+                        == solution_space(flat_ad, _flat(-raw_square(ivec))))
+                # the frame: [w, y] + sum c_k polar(u_k) = 0, zero right side
+                polars = [raw_square([p + q for p, q in zip(ivec, u)])
+                          - raw_square(ivec) - raw_square(u)
+                          for u in positive_weight_space(pt.y)]
+                coord_polars = [coords_of(-p, n) for p in polars]
+                flat_polars = [_flat(p) for p in polars]
+                coord = [row + [p[r] for p in coord_polars] for r, row in enumerate(coord_ad)]
+                flat = [list(row) + [p[r] for p in flat_polars] for r, row in enumerate(flat_ad)]
+                assert (solution_space(coord, [ZERO] * len(coord))
+                        == solution_space(flat, [ZERO] * len(flat)))
 
 
 def test_positive_weight_space_dimensions_match_census():
