@@ -15,7 +15,7 @@ changing any rank.
 from math import gcd
 
 from .field import FieldScalar
-from .poly import _int_pairs, grlex_key, monomials
+from .poly import _int_pairs, monomials
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
@@ -160,13 +160,13 @@ def _reduce_int(row):
     return row
 
 
-def _sparse_rank_int(rows, keyfn):
+def _sparse_rank_int(rows):
     """Rank of rational rows, each cleared to integers as it is copied."""
     pivots = {}
     for row in rows:
         r = {key: p for key, p, _ in _int_pairs(row)[1]}
         while r:
-            col = max(r, key=keyfn)
+            col = max(r)
             hit = pivots.get(col)
             if hit is None:
                 pivots[col] = _reduce_int(r)
@@ -184,12 +184,12 @@ def _sparse_rank_int(rows, keyfn):
     return len(pivots)
 
 
-def _sparse_rank_field(rows, keyfn):
+def _sparse_rank_field(rows):
     pivots = {}
     for row in rows:
         r = dict(row)
         while r:
-            col = max(r, key=keyfn)
+            col = max(r)
             hit = pivots.get(col)
             if hit is None:
                 inv = r[col].inverse()
@@ -205,11 +205,12 @@ def _sparse_rank_field(rows, keyfn):
     return len(pivots)
 
 
-def sparse_rank(rows, keyfn=grlex_key):
-    """Exact rank of sparse rows (dicts col -> FieldScalar)."""
+def sparse_rank(rows):
+    """Exact rank of sparse rows (dicts col -> FieldScalar); each row is
+    reduced on its largest column, so the columns must be comparable."""
     if any(c.bn for row in rows for c in row.values()):
-        return _sparse_rank_field(rows, keyfn)
-    return _sparse_rank_int(rows, keyfn)
+        return _sparse_rank_field(rows)
+    return _sparse_rank_int(rows)
 
 
 def truncated_ideal_dim(gens, d, multiplier_filter=None):

@@ -261,9 +261,8 @@ def lowest_coefficient_membership(dims, k):
             if img:
                 rows.append(img)
     target = {k * total + k: FieldScalar(1)}
-    keyfn = lambda c: c
-    base = linalg.sparse_rank(rows, keyfn)
-    return linalg.sparse_rank(rows + [target], keyfn) == base
+    base = linalg.sparse_rank(rows)
+    return linalg.sparse_rank(rows + [target]) == base
 
 
 def sl2_lowest_coefficient_check(dims, k):

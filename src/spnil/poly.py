@@ -83,6 +83,9 @@ class _Terms:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def _check(self, other):
         if self._space != other._space:
             raise ValueError(self._mismatch)
@@ -97,6 +100,9 @@ class _Terms:
             other = constant(self._space, c)
         self._check(other)
         return self._of(self._space, _add_terms(dict(self.terms), other.terms.items()))
+
+    # a sum seeded with the scalar 0, as in MatF's products and traces
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)

@@ -18,7 +18,13 @@ _INV_SQRT2 = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
 class MatF:
-    """Immutable square matrix over Q(sqrt2)."""
+    """Immutable square matrix over Q(sqrt2).
+
+    MatF(...), unit and scale take exact scalars only.  The trusted _of also
+    takes MultiPoly entries of one registry, for the generic matrices of
+    varieties.  @, trace and trace_pair work on those unchanged: their sums
+    start at the scalar 0, and a polynomial adds to it.
+    """
 
     __slots__ = ("entries", "size", "_nz")
 
@@ -33,7 +39,8 @@ class MatF:
 
     @classmethod
     def _of(cls, rows):
-        """Trusted constructor: rows are square and hold FieldScalars only."""
+        """Trusted constructor: rows are square and hold FieldScalars, or
+        MultiPolys of one registry."""
         m = object.__new__(cls)
         m.entries = tuple(tuple(row) for row in rows)
         m.size = len(m.entries)
@@ -175,10 +182,7 @@ def require_sp(m):
         raise ValueError("matrix is not in sp(2n)")
 
 
-def bracket(a, b, strict=False):
-    if strict:
-        require_sp(a)
-        require_sp(b)
+def bracket(a, b):
     a._check(b)
     return a @ b - b @ a
 

@@ -66,63 +66,34 @@ def _generic(registry, offset, n):
     """Generic sp(2n) matrix: entries linear in registry slots offset+k."""
     basis = sp_basis(n)
     size = 2 * n
-    return [[MultiPoly.linear(registry, {offset + k: b.entries[i][j] for k, b in enumerate(basis)})
-             for j in range(size)] for i in range(size)]
-
-
-def _pm_mul(a, b, registry):
-    size = len(a)
-    out = [[MultiPoly.zero(registry) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            if a[i][k].is_zero():
-                continue
-            for j in range(size):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
-def _pm_trace(a, registry):
-    t = MultiPoly.zero(registry)
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
-def _pm_pair(a, b, registry):
-    """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product."""
-    t = MultiPoly.zero(registry)
-    for i, row in enumerate(a):
-        for j, p in enumerate(row):
-            if not p.is_zero() and not b[j][i].is_zero():
-                t = t + p * b[j][i]
-    return t
+    return MatF._of([MultiPoly.linear(registry, {offset + k: b.entries[i][j]
+                                                 for k, b in enumerate(basis)})
+                     for j in range(size)] for i in range(size))
 
 
 def _raw_square_symbolic(registry, offset, n):
     size = 2 * n
     u = [MultiPoly.variable(registry, offset + a) for a in range(size)]
     vtj = [-u[n + j] for j in range(n)] + [u[j] for j in range(n)]
-    return [[u[i] * vtj[j] for j in range(size)] for i in range(size)]
+    return MatF._of([u[i] * vtj[j] for j in range(size)] for i in range(size))
 
 
 def _minors2(m):
-    size = len(m)
+    e, size = m.entries, m.size
     out = []
     for r1 in range(size):
         for r2 in range(r1 + 1, size):
             for c1 in range(size):
                 for c2 in range(c1 + 1, size):
-                    out.append(m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
+                    out.append(e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1])
     return out
 
 
-def _powers(m, registry, count):
+def _powers(m, count):
     """m, m^2, ..., m^count of a polynomial matrix."""
     powers = [m]
     while len(powers) < count:
-        powers.append(_pm_mul(powers[-1], m, registry))
+        powers.append(powers[-1] @ m)
     return powers
 
 
@@ -142,45 +113,22 @@ def ideal_generators(kind, n):
     nn = sp_dim(n)
     if kind == "I":
         registry = full_registry(n)
-        x = _generic(registry, 0, n)
-        y = _generic(registry, nn, n)
-        comm = _pm_sub(_pm_mul(x, y, registry), _pm_mul(y, x, registry))
-        sq = _raw_square_symbolic(registry, 2 * nn, n)
-        total = _pm_add(comm, sq)
-        gens = []
-        for d in dual_basis(n):
-            g = MultiPoly.zero(registry)
-            for i in range(2 * n):
-                for j in range(2 * n):
-                    if d.entries[i][j]:
-                        g = g + total[j][i].scale(d.entries[i][j])
-            gens.append(g)
-        return gens
+        total = (bracket(_generic(registry, 0, n), _generic(registry, nn, n))
+                 + _raw_square_symbolic(registry, 2 * nn, n))
+        return [trace_pair(d, total) for d in dual_basis(n)]
     if kind == "J":
         registry = tuple(f"x{k}" for k in range(nn)) + tuple(f"y{k}" for k in range(nn))
-        x = _generic(registry, 0, n)
-        y = _generic(registry, nn, n)
-        comm = _pm_sub(_pm_mul(x, y, registry), _pm_mul(y, x, registry))
-        return _minors2(comm)
+        return _minors2(bracket(_generic(registry, 0, n), _generic(registry, nn, n)))
     if kind == "K":
         registry = tuple(f"x{k}" for k in range(nn))
         return _minors2(_generic(registry, 0, n))
     if kind == "NIL":
         registry = tuple(f"y{k}" for k in range(nn))
-        return [_pm_pair(p, p, registry)
-                for p in _powers(_generic(registry, 0, n), registry, n)]
+        return [trace_pair(p, p) for p in _powers(_generic(registry, 0, n), n)]
     raise ValueError(f"unknown ideal kind: {kind}")
 
 
-def _pm_add(a, b):
-    return [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _pm_sub(a, b):
-    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _odd_traces_vanish(m, registry):
+def _odd_traces_vanish(m):
     """Whether tr(m^k) is zero for every odd k up to the size of the
     polynomial matrix m, which holds exactly when the odd characteristic
     coefficients e_1, e_3, ... of m all vanish.
@@ -190,18 +138,18 @@ def _odd_traces_vanish(m, registry):
     tr(m^(2j+1)) is the trace pairing of m^(j+1) with m^j, so only m, ...,
     m^ceil(size/2) are formed.
     """
-    if not _pm_trace(m, registry).is_zero():
+    if m.trace():
         return False
-    powers = _powers(m, registry, (len(m) + 1) // 2)
-    return all(_pm_pair(higher, power, registry).is_zero()
-               for power, higher in zip(powers, powers[1:]))
+    powers = _powers(m, (m.size + 1) // 2)
+    return not any(trace_pair(higher, power)
+                   for power, higher in zip(powers, powers[1:]))
 
 
 def odd_char_coeffs_vanish(n):
     """Symbolic check that odd characteristic coefficients vanish on sp(2n),
     read from the odd power traces of a generic element."""
     registry = tuple(f"y{k}" for k in range(sp_dim(n)))
-    return _odd_traces_vanish(_generic(registry, 0, n), registry)
+    return _odd_traces_vanish(_generic(registry, 0, n))
 
 
 def theta1_kills_minors(n):
@@ -299,35 +247,19 @@ def point_coordinates(point):
     )
 
 
-def _split(vec, n):
-    """Tangent triple (a, b, u) of a flat vector in (x, y, i) coordinates."""
-    nn = sp_dim(n)
-    a = mat_from_coords(vec[:nn], n)
-    b = mat_from_coords(vec[nn:2 * nn], n)
-    return a, b, vec[2 * nn:]
-
-
-def _pairing(t1, t2):
-    """Moment-compatible symplectic form on tangent triples (a, b, u):
-    Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2).
-
-    With raw_square(v) = v v^T J the scheme equation is the zero level of the
-    moment map mu = [x, y] + raw_square(i), and this is the scaling of the
-    vector half for which d tr(xi mu)(v) = pairing(xi . p, v) at every point
-    p, where xi . p = ([xi, x], [xi, y], xi i).
-    """
-    a1, b1, u1 = t1
-    a2, b2, u2 = t2
-    return trace_pair(a1, b2) - trace_pair(a2, b1) - omega(u1, u2) * 2
-
-
 @lru_cache(maxsize=None)
 def _trace_form(n):
-    """The entries (p, q, c) of _pairing on flat (x, y, i) coordinates, which
-    is the sum of c (v1[p] v2[q] - v1[q] v2[p]) over them: the trace-form
-    Gram matrix of sp_basis(n) between the x and y parts, and -2 omega on the
-    i part.  Every basis element has exactly one nonzero trace partner, so
-    each flat coordinate lies in exactly one entry.
+    """The entries (p, q, c) of the moment-compatible symplectic form on flat
+    (x, y, i) coordinates, which is the sum of c (v1[p] v2[q] - v1[q] v2[p])
+    over them: the trace-form Gram matrix of sp_basis(n) between the x and y
+    parts, and -2 omega on the i part.  Every basis element has exactly one
+    nonzero trace partner, so each flat coordinate lies in exactly one entry.
+
+    On tangent triples (a, b, u) the form is Tr(a1 b2) - Tr(a2 b1) - 2
+    omega(u1, u2).  The scheme is the zero level of the moment map mu = [x, y]
+    + raw_square(i), and the factor 2 on omega is the scaling for which
+    d tr(xi mu)(v) = form(xi . p, v) at every point p, where xi . p =
+    ([xi, x], [xi, y], xi i).
     """
     nn = sp_dim(n)
     basis = sp_basis(n)
@@ -342,13 +274,14 @@ def _trace_form(n):
 
 
 def _isotropic(vectors, n):
-    """True when _pairing vanishes on every pair of the flat vectors.
+    """True when the form of _trace_form vanishes on every pair of the flat
+    vectors.
 
-    Each vector w is mapped once to its image under the form of _trace_form,
-    the sparse vector with entry c w[q] at p and -c w[p] at q per entry
-    (p, q, c); as each coordinate lies in one entry, nothing is summed.  A
-    pair (v, w) then pairs to the dot product of v with the image of w, taken
-    over their common support.
+    Each vector w is mapped once to its image under that form, the sparse
+    vector with entry c w[q] at p and -c w[p] at q per entry (p, q, c); as
+    each coordinate lies in one entry, nothing is summed.  A pair (v, w) then
+    pairs to the dot product of v with the image of w, taken over their
+    common support.
     """
     form = _trace_form(n)
     images = []
@@ -400,7 +333,8 @@ def lagrangian_check(point):
     """Exact tangent data of the nilpotent subscheme at a sampled point.
 
     The Jacobian of I plus NIL, its rank, the dimension of its kernel (the
-    Zariski tangent space) and whether _pairing vanishes on that kernel.
+    Zariski tangent space) and whether the moment-compatible form of
+    _trace_form vanishes on that kernel.
     """
     n = point.n
     ambient, jac = _jacobian_at(point)
@@ -453,7 +387,7 @@ def stratum_tangent_check(point):
     stratum dimension and the frame sits inside the kernel of the defining
     Jacobian; both, and isotropy, are read off a reduced basis of its span.
 
-    Isotropy is tested against the moment-compatible form of _pairing,
+    Isotropy is tested against the moment-compatible form of _trace_form,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
     of the moment map for the strata to pair to zero.
     """

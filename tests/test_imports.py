@@ -5,8 +5,8 @@ from pathlib import Path
 
 import spnil
 
-SOURCES = sorted(p for p in Path(spnil.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(spnil.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -31,3 +31,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert SOURCES
     found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
     assert not {name: hits for name, hits in found.items() if hits}
+
+
+def unused_private_helpers(sources):
+    """(module, name) of each top-level _name function or class in the
+    sources, a dict of module name to text, that no source references."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_unused_private_helper_check_sees_a_left_over_helper():
+    sources = {
+        "a": "def _kept(): pass\nclass _Left: pass\ndef public(): pass\n",
+        "b": "from .a import _kept\n",
+    }
+    assert unused_private_helpers(sources) == [("a", "_Left")]
+
+
+def test_no_private_helper_is_left_unused():
+    found = unused_private_helpers({p.stem: p.read_text() for p in PACKAGE})
+    assert not found

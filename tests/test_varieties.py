@@ -24,6 +24,7 @@ from spnil.splie import (
     bracket,
     coords_of,
     is_nilpotent,
+    mat_from_coords,
     omega,
     omega_matrix,
     raw_square,
@@ -38,11 +39,6 @@ from spnil.varieties import (
     _rep_and_positive_slots,
     _jacobian_at,
     _odd_traces_vanish,
-    _pm_mul,
-    _pm_pair,
-    _pm_trace,
-    _pairing,
-    _split,
     _stratum_frame,
     _trace_form,
     embedding_pullback_check,
@@ -61,6 +57,21 @@ from spnil.varieties import (
 )
 
 ZERO = FieldScalar(0)
+
+
+def _split(vec, n):
+    """Tangent triple (a, b, u) of a flat vector in (x, y, i) coordinates."""
+    nn = sp_dim(n)
+    return mat_from_coords(vec[:nn], n), mat_from_coords(vec[nn:2 * nn], n), vec[2 * nn:]
+
+
+def _pairing(t1, t2):
+    """The moment-compatible symplectic form on tangent triples (a, b, u),
+    Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2), from the matrices themselves:
+    the oracle for the flat form of _trace_form."""
+    a1, b1, u1 = t1
+    a2, b2, u2 = t2
+    return trace_pair(a1, b2) - trace_pair(a2, b1) - omega(u1, u2) * 2
 
 
 def origin(n):
@@ -91,11 +102,17 @@ def test_ideal_generator_census():
         assert len(gens) == count
         assert {g.total_degree() for g in gens} == degs
         assert all(g.is_homogeneous() and not g.is_zero() for g in gens)
-    assert ideal_generators("I", 1)[0].registry == full_registry(1)
+    # every generator is a nonzero polynomial on its kind's registry, never
+    # the scalar 0 that seeds the sums of MatF's products and trace pairings
+    cases = [(n, kind) for n in (1, 2) for kind in ("I", "J", "K", "NIL")] + [(3, "I")]
+    for n, kind in cases:
+        xs = tuple(f"x{k}" for k in range(sp_dim(n)))
+        ys = tuple(f"y{k}" for k in range(sp_dim(n)))
+        registry = {"I": full_registry(n), "J": xs + ys, "K": xs, "NIL": ys}[kind]
+        assert all(type(g) is MultiPoly and g and g.registry == registry
+                   for g in ideal_generators(kind, n))
     assert ideal_generators("J", 1)[0].registry == ("x0", "x1", "x2",
                                                     "y0", "y1", "y2")
-    assert ideal_generators("K", 1)[0].registry == ("x0", "x1", "x2")
-    assert ideal_generators("NIL", 1)[0].registry == ("y0", "y1", "y2")
     with pytest.raises(ValueError):
         ideal_generators("Q", 1)
 
@@ -440,9 +457,15 @@ def test_odd_characteristic_coefficients_vanish():
     assert odd_char_coeffs_vanish(3)
 
 
+def generic_rows(registry, size):
+    """Rows of the generic size x size matrix, one variable per entry."""
+    return [[MultiPoly.variable(registry, size * i + j) for j in range(size)]
+            for i in range(size)]
+
+
 def _char_coeffs(m, registry, size):
-    """Elementary symmetric functions e_1..e_size of a polynomial matrix,
-    via traces of powers and Newton's identities.
+    """Elementary symmetric functions e_1..e_size of a MatF with polynomial
+    entries, via traces of powers and Newton's identities.
 
     Only the powers m, m^2, ..., m^h with h = ceil(size/2) are formed; for
     k > h, tr(m^k) is the trace pairing of m^h with m^(k-h).
@@ -450,10 +473,10 @@ def _char_coeffs(m, registry, size):
     h = (size + 1) // 2
     powers = [m]
     for _ in range(h - 1):
-        powers.append(_pm_mul(powers[-1], m, registry))
-    traces = [_pm_trace(p, registry) for p in powers]
+        powers.append(powers[-1] @ m)
+    traces = [p.trace() for p in powers]
     for k in range(h + 1, size + 1):
-        traces.append(_pm_pair(powers[h - 1], powers[k - h - 1], registry))
+        traces.append(trace_pair(powers[h - 1], powers[k - h - 1]))
     es = [MultiPoly.constant(registry, 1)]
     for k in range(1, size + 1):
         acc = MultiPoly.zero(registry)
@@ -482,20 +505,17 @@ def test_odd_traces_vanish_exactly_with_odd_char_coeffs():
         cases.append((registry, _generic(registry, 0, n), True))
     for size in (2, 4):
         registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
-        m = [[MultiPoly.variable(registry, size * i + j) for j in range(size)]
-             for i in range(size)]
-        cases.append((registry, m, False))
+        cases.append((registry, MatF._of(generic_rows(registry, size)), False))
     for n, (i, j) in ((1, (0, 0)), (2, (0, 1)), (2, (0, 3)), (3, (1, 0))):
         registry = tuple(f"y{k}" for k in range(sp_dim(n)))
-        m = _generic(registry, 0, n)
-        m[i][j] = m[i][j] + MultiPoly.constant(registry, 1)
-        cases.append((registry, m, False))
+        rows = [list(row) for row in _generic(registry, 0, n).entries]
+        rows[i][j] = rows[i][j] + MultiPoly.constant(registry, 1)
+        cases.append((registry, MatF._of(rows), False))
     for registry, m, expected in cases:
-        size = len(m)
-        es = _char_coeffs(m, registry, size)
+        es = _char_coeffs(m, registry, m.size)
         odd_zero = all(e.is_zero() for e in es[0::2])
         assert odd_zero == expected
-        assert _odd_traces_vanish(m, registry) == odd_zero
+        assert _odd_traces_vanish(m) == odd_zero
 
 
 def all_powers_char_coeffs(m, registry, size):
@@ -534,14 +554,14 @@ def test_char_coeffs_match_all_powers_oracle():
     # nonzero, odd sizes included) and generic sp(2n) for n = 1, 2
     for size in range(1, 5):
         registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
-        m = [[MultiPoly.variable(registry, size * i + j) for j in range(size)]
-             for i in range(size)]
-        assert _char_coeffs(m, registry, size) == all_powers_char_coeffs(m, registry, size)
+        rows = generic_rows(registry, size)
+        assert (_char_coeffs(MatF._of(rows), registry, size)
+                == all_powers_char_coeffs(rows, registry, size))
     for n in (1, 2):
         registry = tuple(f"y{k}" for k in range(sp_dim(n)))
         y = _generic(registry, 0, n)
         assert (_char_coeffs(y, registry, 2 * n)
-                == all_powers_char_coeffs(y, registry, 2 * n))
+                == all_powers_char_coeffs(y.entries, registry, 2 * n))
 
 
 def test_char_coeffs_at_sampled_sp6_points_match_faddeev_leverrier():

@@ -256,6 +256,13 @@ def test_term_classes_share_one_vector_space_contract():
                 a * other
         assert not a == other and a != other
         assert (a - a).is_zero() and a.scale(0).is_zero()
+        assert bool(a) and not bool(a - a)
+        if isinstance(a, OscVector):
+            # no constants in the module, so not even 0 adds to a vector
+            with pytest.raises(TypeError):
+                0 + a
+        else:
+            assert 0 + a == a
         twin = a + a - a
         assert twin is not a and twin == a and hash(twin) == hash(a)
         for key in malformed:
