@@ -72,8 +72,8 @@ from .cherednik import (
 # keep pure-Python runtimes sane; everything else follows the global n <= 4
 _SUITE_CAP = {"theta1-hom": 3, "theta0-hom": 2, "minors": 3, "lagrangian": 2, "embedding": 3}
 
-# verify lagrangian -n 2 costs about 5 ms per sampled point, so 2 s at 100
-# trials over its four Jordan types (2-vCPU x86-64 host)
+# verify lagrangian -n 2 costs about 5 ms per sampled point, so 2.0 to 2.2 s
+# at 100 trials over its four Jordan types (three runs, 2-vCPU x86-64 host)
 MAX_TRIALS = 100
 
 

@@ -227,10 +227,5 @@ SQRT2 = FieldScalar(0, 1)
 HALF = FieldScalar(Fraction(1, 2))
 
 
-def fs(rational=0, root2=0):
-    """Shorthand constructor; accepts ints, Fractions or 'p/q' strings."""
-    if isinstance(rational, str):
-        rational = Fraction(rational)
-    if isinstance(root2, str):
-        root2 = Fraction(root2)
-    return FieldScalar(rational, root2)
+# shorthand constructor; FieldScalar already takes 'p/q' strings
+fs = FieldScalar

@@ -7,9 +7,10 @@ row_basis (the reduced rows), dense_rank, solve, nullspace, solution_space
 (solve and nullspace from one elimination) and inverse share that one kernel
 and copy their input.
 The sparse reducer backs the graded ideal-dimension computations, where rows
-are dicts keyed by exponent tuples; an all-rational matrix drops to an integer
-path with gcd normalization, which keeps coefficient growth tame without
-changing any rank.
+are dicts keyed by exponent tuples.  It runs on integers only: each row is
+cleared to one denominator and reduced with gcd normalization, which keeps
+coefficient growth tame without changing any rank.  A row with a sqrt2 part
+is split into its rational and sqrt2 parts, beside its sqrt2 multiple.
 """
 
 from math import gcd
@@ -160,11 +161,11 @@ def _reduce_int(row):
     return row
 
 
-def _sparse_rank_int(rows):
-    """Rank of rational rows, each cleared to integers as it is copied."""
+def _int_rank(rows):
+    """Rank over Q of sparse rows already cleared to integers; each row is
+    reduced on its largest column."""
     pivots = {}
-    for row in rows:
-        r = {key: p for key, p, _ in _int_pairs(row)[1]}
+    for r in rows:
         while r:
             col = max(r)
             hit = pivots.get(col)
@@ -184,33 +185,26 @@ def _sparse_rank_int(rows):
     return len(pivots)
 
 
-def _sparse_rank_field(rows):
-    pivots = {}
+def _split(rows):
+    """Each row a + b*sqrt2, cleared to integers, as (a, b) on the columns
+    (k, 0) and (k, 1), followed by sqrt2 times it, (2b, a)."""
     for row in rows:
-        r = dict(row)
-        while r:
-            col = max(r)
-            hit = pivots.get(col)
-            if hit is None:
-                inv = r[col].inverse()
-                pivots[col] = {k: v * inv for k, v in r.items()}
-                break
-            c = r[col]
-            for k, v in hit.items():
-                s = r.get(k, _ZERO) - c * v
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
-    return len(pivots)
+        pairs = _int_pairs(row)[1]
+        yield {(key, s): v for key, p, q in pairs for s, v in ((0, p), (1, q)) if v}
+        yield {(key, s): v for key, p, q in pairs for s, v in ((0, 2 * q), (1, p)) if v}
 
 
 def sparse_rank(rows):
     """Exact rank of sparse rows (dicts col -> FieldScalar); each row is
-    reduced on its largest column, so the columns must be comparable."""
+    reduced on its largest column, so the columns must be comparable.
+
+    Rows with a sqrt2 part are split into rational and sqrt2 parts: those
+    rows and their sqrt2 multiples span the row space over Q, which has
+    twice the dimension it has over Q(sqrt2).
+    """
     if any(c.bn for row in rows for c in row.values()):
-        return _sparse_rank_field(rows)
-    return _sparse_rank_int(rows)
+        return _int_rank(_split(rows)) // 2
+    return _int_rank({key: p for key, p, _ in _int_pairs(row)[1]} for row in rows)
 
 
 def truncated_ideal_dim(gens, d, multiplier_filter=None):

@@ -107,6 +107,9 @@ class _Terms:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __neg__(self):
         return self._of(self._space, {k: -c for k, c in self.terms.items()})
 
@@ -195,14 +198,6 @@ class MultiPoly(_Terms):
             for e1, c1 in self.terms.items() for e2, c2 in right)))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = MultiPoly.constant(self.registry, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- calculus and substitution ------------------------------------------
 

@@ -194,23 +194,14 @@ def symmetrize_quadratic(p):
     n = width // 2
     if p.total_degree() > 2:
         raise ValueError("polynomial degree exceeds 2")
-    out = WeylElement.zero(n)
-    for exp, c in p.terms.items():
-        idx = [i for i, k in enumerate(exp) for _ in range(k)]
-        if not idx:
-            out = out + WeylElement.constant(n, c)
-            continue
-        xe, ye = [0] * n, [0] * n
-        for i in idx:
-            if i < n:
-                xe[i] += 1
-            else:
-                ye[i - n] += 1
-        term = WeylElement(n, {(tuple(xe), tuple(ye)): c})
-        if len(idx) == 2 and idx[0] < n <= idx[1] and idx[1] - n == idx[0]:
-            term = term + WeylElement.constant(n, c * HALF)
-        out = out + term
-    return out
+    constant = ((0,) * n, (0,) * n)
+
+    def terms():
+        for exp, c in p.terms.items():
+            yield (exp[:n], exp[n:]), c
+            if sum(exp) == 2 and any(exp[i] and exp[n + i] for i in range(n)):
+                yield constant, c * HALF
+    return WeylElement._of(n, _add_terms({}, terms()))
 
 
 def theta1(m):

@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from spnil.field import FieldScalar, fs
+from spnil.field import fs
 from spnil.cherednik import (
     Params,
     SINGULAR,

@@ -1,4 +1,4 @@
-"""Static checks on the package source."""
+"""Static checks on the package and test sources."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import spnil
 
 PACKAGE = sorted(Path(spnil.__file__).parent.glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -28,8 +29,8 @@ def test_unused_import_check_sees_a_left_over_name():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    assert SOURCES
-    found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
+    assert SOURCES and TESTS
+    found = {p.name: unused_imports(p.read_text()) for p in SOURCES + TESTS}
     assert not {name: hits for name, hits in found.items() if hits}
 
 

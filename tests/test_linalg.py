@@ -263,12 +263,26 @@ def test_inverse_round_trip_and_singular_rejection():
 
 def test_sparse_rank_agrees_with_dense():
     rng = random.Random(404)
-    for trial in range(20):
-        rows = rng.randint(1, 5)
+    mats = [rand_mat(rng, rng.randint(1, 5), rng.randint(1, 5), with_root=(trial % 2 == 0))
+            for trial in range(20)]
+    # rows dependent over Q(sqrt2) but not over Q, a zero row, rational rows
+    for _ in range(10):
         cols = rng.randint(1, 5)
-        a = rand_mat(rng, rows, cols, with_root=(trial % 2 == 0))
+        r1, r2 = rand_mat(rng, 2, cols, with_root=True)
+        q1, q2 = rand_mat(rng, 2, cols)
+        mats += [
+            [r1, [SQRT2 * v for v in r1]],
+            [r1, r2, [(ONE + SQRT2) * u - SQRT2 * v for u, v in zip(r1, r2)]],
+            [r1, [ZERO] * cols, r2],
+            [q1, r1, q2, [u + SQRT2 * v for u, v in zip(q1, r1)]],
+        ]
+    for a in mats:
         sparse = [{(j,): v for j, v in enumerate(row) if v} for row in a]
         assert sparse_rank(sparse) == dense_rank(a)
+    # the two generators are proportional over Q(sqrt2)
+    reg = ("a", "b")
+    a, b = (MultiPoly.variable(reg, i) for i in (0, 1))
+    assert truncated_ideal_dim([a + b.scale(SQRT2), a.scale(SQRT2) + b.scale(2)], 1) == 1
 
 
 def test_truncated_ideal_dim_principal_ideal():

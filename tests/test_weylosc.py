@@ -261,8 +261,10 @@ def test_term_classes_share_one_vector_space_contract():
             # no constants in the module, so not even 0 adds to a vector
             with pytest.raises(TypeError):
                 0 + a
+            with pytest.raises(TypeError):
+                0 - a
         else:
-            assert 0 + a == a
+            assert 0 + a == a and 0 - a == -a
         twin = a + a - a
         assert twin is not a and twin == a and hash(twin) == hash(a)
         for key in malformed:
@@ -270,6 +272,11 @@ def test_term_classes_share_one_vector_space_contract():
             with pytest.raises(ValueError):
                 make(key)
         assert make(next(iter(a.terms))).is_zero()
+    # entry [0][1] of x @ y is the scalar 0 seeding the sum, of y @ x is b * a
+    z = MultiPoly.zero(("a", "b"))
+    a, b = (MultiPoly.variable(("a", "b"), i) for i in (0, 1))
+    commutator = bracket(MatF._of([[z, a], [z, z]]), MatF._of([[b, z], [z, z]]))
+    assert commutator.entries[0][1] == -(b * a)
 
 
 def test_field_commutator_matches_dense_sums():
