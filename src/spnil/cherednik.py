@@ -191,13 +191,11 @@ class FormalRadialOperator:
     zero coefficients are dropped, so equality is structural.
     """
 
-    laplacian: bool
     coeffs: tuple  # sorted tuple of (root key, FieldScalar)
 
     @classmethod
-    def from_dict(cls, laplacian, coeff_dict):
-        items = tuple(sorted((k, v) for k, v in coeff_dict.items() if v))
-        return cls(laplacian, items)
+    def from_dict(cls, coeff_dict):
+        return cls(tuple(sorted((k, v) for k, v in coeff_dict.items() if v)))
 
 
 def build_Lc(params, n):
@@ -209,7 +207,7 @@ def build_Lc(params, n):
         val = c * (c + 1) * RootDatumC.pairing(root, root)
         if val:
             coeffs[root.key()] = val
-    return FormalRadialOperator.from_dict(True, coeffs)
+    return FormalRadialOperator.from_dict(coeffs)
 
 
 def oscillator_radial_operator(n):
@@ -221,7 +219,7 @@ def oscillator_radial_operator(n):
         s = weight_zero_scalar(n, root) + weight_zero_scalar(n, datum.opposite(root))
         if s:
             coeffs[root.key()] = s
-    return FormalRadialOperator.from_dict(True, coeffs)
+    return FormalRadialOperator.from_dict(coeffs)
 
 
 def radial_match(n):

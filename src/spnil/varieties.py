@@ -358,6 +358,8 @@ def positive_weight_space(y):
     completion of y; the formula needs no completion and is equivariant.
     The vectors y^j w with y^(2j) w = 0 are reduced in one elimination.
     """
+    if not is_nilpotent(y):
+        raise ValueError("positive_weight_space needs a nilpotent y")
     candidates = []
     power = y
     while not power.is_zero():
@@ -380,12 +382,12 @@ class StratumReport:
 def stratum_tangent_check(point):
     """Exact tangent frame of the orbit stratum through a sampled point.
 
-    The frame collects conjugation directions ([a,x], [a,y], a i) over the
-    sp basis, centralizer shifts (z, 0, 0) with [z, y] = 0, and vector moves
-    (w, 0, u) for u in the canonical half space of y, with w solving
-    [w, y] = -(polarization of raw_square at i along u).  Its rank is the
-    stratum dimension and the frame sits inside the kernel of the defining
-    Jacobian; both, and isotropy, are read off a reduced basis of its span.
+    The frame, read off the moment rows of the defining Jacobian, collects
+    conjugation directions ([a,x], [a,y], a i) over the sp basis, centralizer
+    shifts (z, 0, 0) with [z, y] = 0 and vector moves (w, 0, u) for u in the
+    canonical half space of y, with [w, y] = -(polarization of raw_square at i
+    along u).  Its rank is the stratum dimension and it sits inside the
+    Jacobian's kernel; both, and isotropy, are read off a reduced basis.
 
     Isotropy is tested against the moment-compatible form of _trace_form,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
@@ -407,24 +409,23 @@ def stratum_tangent_check(point):
 
 
 def _stratum_frame(point):
-    """The flat tangent frame of stratum_tangent_check at point.
+    """The flat tangent frame of stratum_tangent_check, read off the moment
+    rows of _jacobian_at: [-ad y | ad x | P] in sp coordinates, where ad y
+    sends w to [y, w] and column c of P polarizes raw_square at i along e_c.
 
-    The conjugation direction ([a, x], [a, y], a i) is minus column a of
-    ad x and of ad y, where ad_matrix(y, n) sends w to [y, w].  One kernel of
-    the stacked matrix [ad y | -polar(u_1) ... -polar(u_k)] in sp
-    coordinates, u_1 .. u_k a basis of the half space, gives the centralizer
-    shifts and the vector moves: a kernel vector (w, c) has [w, y] +
-    sum c_k polar(u_k) = 0 and becomes (w, 0, sum c_k u_k).  A move with no
-    solution lowers the rank.
+    The conjugation direction ([a, x], [a, y], a i) is minus column a of the
+    y-block beside column a of the x-block.  One kernel of [-ad y | P u_1 ..
+    P u_k], u_1 .. u_k a basis of the half space, gives the centralizer shifts
+    and the vector moves: a kernel vector (w, c) has [w, y] + sum c_k P u_k =
+    0 and becomes (w, 0, sum c_k u_k); a move with no solution lowers the rank.
     """
     n, nn, ivec = point.n, sp_dim(point.n), list(point.i)
+    moment = _jacobian_at(point)[1][:nn]
     half = positive_weight_space(point.y)
-    ad_y = ad_matrix(point.y, n)
-    polars = [coords_of(raw_square(ivec) + raw_square(u)
-                        - raw_square([p + q for p, q in zip(ivec, u)]), n) for u in half]
-    stacked = [row + [p[r] for p in polars] for r, row in enumerate(ad_y)]
-    frame = [[-c for c in col_x + col_y] + a.apply(ivec)
-             for a, col_x, col_y in zip(sp_basis(n), zip(*ad_matrix(point.x, n)), zip(*ad_y))]
+    frame = [[-row[nn + a] for row in moment] + [row[a] for row in moment] + b.apply(ivec)
+             for a, b in enumerate(sp_basis(n))]
+    stacked = [list(row[:nn]) + [sum((c * v for c, v in zip(row[2 * nn:], u) if v), _ZERO)
+                                 for u in half] for row in moment]
     for z in linalg.nullspace(stacked):
         u = [sum((c * v[a] for c, v in zip(z[nn:], half) if c), _ZERO) for a in range(2 * n)]
         frame.append(z[:nn] + [_ZERO] * nn + u)

@@ -199,10 +199,9 @@ def test_degenerate_affine_relation():
 
 
 def test_build_Lc_structure():
-    assert build_Lc(Params.of(0, 0), 2) == FormalRadialOperator(True, ())
+    assert build_Lc(Params.of(0, 0), 2) == FormalRadialOperator(())
     for n in (1, 2, 3):
         op = build_Lc(SINGULAR, n)
-        assert op.laplacian
         datum = RootDatumC(n)
         assert len(op.coeffs) == len(datum.positive_roots)
         by_key = dict(op.coeffs)
@@ -216,8 +215,8 @@ def test_build_Lc_structure():
 
 
 def test_formal_radial_operator_drops_zero_coefficients():
-    a = FormalRadialOperator.from_dict(True, {"k1": fs(0), "k2": fs(1)})
-    assert a == FormalRadialOperator(True, (("k2", fs(1)),))
+    a = FormalRadialOperator.from_dict({"k1": fs(0), "k2": fs(1)})
+    assert a == FormalRadialOperator((("k2", fs(1)),))
 
 
 def test_per_root_vacuum_scalar_identity():

@@ -34,15 +34,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not {name: hits for name, hits in found.items() if hits}
 
 
-def unused_private_helpers(sources):
-    """(module, name) of each top-level _name function or class in the
-    sources, a dict of module name to text, that no source references."""
+def unused_helpers(sources, is_helper):
+    """(module, name) of each top-level function or class in the sources, a
+    dict of module name to text, whose name is_helper accepts and that no
+    source references."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [(module, node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")]
+                    and is_helper(node.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -53,14 +54,31 @@ def unused_private_helpers(sources):
     return sorted((module, name) for module, name in defined if name not in used)
 
 
+def private(name):
+    return name.startswith("_")
+
+
+def not_a_test(name):
+    return not name.startswith("test_")
+
+
 def test_unused_private_helper_check_sees_a_left_over_helper():
     sources = {
         "a": "def _kept(): pass\nclass _Left: pass\ndef public(): pass\n",
         "b": "from .a import _kept\n",
     }
-    assert unused_private_helpers(sources) == [("a", "_Left")]
+    assert unused_helpers(sources, private) == [("a", "_Left")]
+    # in the tests every function but a test_ one is a helper
+    sources["b"] += "def oracle(): pass\ndef test_a(): _kept()\n"
+    assert unused_helpers(sources, not_a_test) == [("a", "_Left"), ("a", "public"),
+                                                   ("b", "oracle")]
 
 
 def test_no_private_helper_is_left_unused():
-    found = unused_private_helpers({p.stem: p.read_text() for p in PACKAGE})
+    found = unused_helpers({p.stem: p.read_text() for p in PACKAGE}, private)
+    assert not found
+
+
+def test_no_test_helper_is_left_unused():
+    found = unused_helpers({p.stem: p.read_text() for p in TESTS}, not_a_test)
     assert not found

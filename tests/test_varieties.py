@@ -413,16 +413,38 @@ def test_coordinate_systems_reduce_like_the_flat_ones():
                 # the sampler: [x, y] = -raw_square(i)
                 assert (solution_space(coord_ad, coords_of(raw_square(ivec), n))
                         == solution_space(flat_ad, _flat(-raw_square(ivec))))
-                # the frame: [w, y] + sum c_k polar(u_k) = 0, zero right side
+                # the frame: [w, y] + sum c_k polar(u_k) = 0, zero right side,
+                # eliminated as [-ad y | P u_1 .. P u_k] from the moment rows
+                nn, half = sp_dim(n), positive_weight_space(pt.y)
                 polars = [raw_square([p + q for p, q in zip(ivec, u)])
-                          - raw_square(ivec) - raw_square(u)
-                          for u in positive_weight_space(pt.y)]
-                coord_polars = [coords_of(-p, n) for p in polars]
+                          - raw_square(ivec) - raw_square(u) for u in half]
                 flat_polars = [_flat(p) for p in polars]
-                coord = [row + [p[r] for p in coord_polars] for r, row in enumerate(coord_ad)]
+                coord = [list(row[:nn]) + [sum((c * v for c, v in zip(row[2 * nn:], u)), ZERO)
+                                           for u in half]
+                         for row in _jacobian_at(pt)[1][:nn]]
                 flat = [list(row) + [p[r] for p in flat_polars] for r, row in enumerate(flat_ad)]
                 assert (solution_space(coord, [ZERO] * len(coord))
                         == solution_space(flat, [ZERO] * len(flat)))
+
+
+def test_jacobian_moment_rows_are_ad_and_polarization():
+    # the rows _stratum_frame reads: d mu = [-ad y | ad x | P] in sp
+    # coordinates, column c of P the polarization of raw_square at i along
+    # the unit vector e_c, entry for entry
+    points = [sample_xnil_point(lam, seed=seed)
+              for n in (1, 2) for lam in partitions_spn(n) for seed in range(3)]
+    points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
+    polarized = 0
+    for pt in points:
+        n, nn, ivec = pt.n, sp_dim(pt.n), list(pt.i)
+        units = [[fs(int(a == c)) for a in range(2 * n)] for c in range(2 * n)]
+        polars = [coords_of(raw_square([p + q for p, q in zip(ivec, e)])
+                            - raw_square(ivec) - raw_square(e), n) for e in units]
+        want = [tuple([-c for c in row_y] + list(row_x) + [p[r] for p in polars])
+                for r, (row_y, row_x) in enumerate(zip(ad_matrix(pt.y, n), ad_matrix(pt.x, n)))]
+        assert list(_jacobian_at(pt)[1][:nn]) == want
+        polarized += any(any(p) for p in polars)
+    assert polarized > 0
 
 
 def test_positive_weight_space_dimensions_match_census():
@@ -634,6 +656,13 @@ def test_jacobian_refuses_points_off_the_nilpotent_scheme():
             _jacobian_at(pt)
         with pytest.raises(ValueError, match="defining equations"):
             lagrangian_check(pt)
+        with pytest.raises(ValueError, match="defining equations"):
+            stratum_tangent_check(pt)
+        with pytest.raises(ValueError, match="defining equations"):
+            _stratum_frame(pt)
+    # the half space is built from the powers of y, which never vanish here
+    with pytest.raises(ValueError, match="nilpotent"):
+        positive_weight_space(semisimple.y)
 
 
 def test_quadratic_comoment_kills_minors():
