@@ -204,9 +204,7 @@ def build_Lc(params, n):
     coeffs = {}
     for root in _datum(n).positive_roots:
         c = params.value(root)
-        val = c * (c + 1) * RootDatumC.pairing(root, root)
-        if val:
-            coeffs[root.key()] = val
+        coeffs[root.key()] = c * (c + 1) * RootDatumC.pairing(root, root)
     return FormalRadialOperator.from_dict(coeffs)
 
 
@@ -214,12 +212,9 @@ def oscillator_radial_operator(n):
     """Delta minus the vacuum-line scalars of theta1(e_a) theta1(e_-a),
     summed over all roots and merged over +- pairs."""
     datum = _datum(n)
-    coeffs = {}
-    for root in datum.positive_roots:
-        s = weight_zero_scalar(n, root) + weight_zero_scalar(n, datum.opposite(root))
-        if s:
-            coeffs[root.key()] = s
-    return FormalRadialOperator.from_dict(coeffs)
+    return FormalRadialOperator.from_dict({
+        root.key(): weight_zero_scalar(n, root) + weight_zero_scalar(n, datum.opposite(root))
+        for root in datum.positive_roots})
 
 
 def radial_match(n):

@@ -108,7 +108,7 @@ def _report(command, n, seed, checks):
 
 
 def _rand_sp(n, rng):
-    return mat_from_coords([FieldScalar(rng.randint(-2, 2)) for _ in range(sp_dim(n))], n)
+    return mat_from_coords(_rand_vec(sp_dim(n), rng), n)
 
 
 def _rand_mat(size, rng):

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldScalar, SQRT2, _scalar
+from .poly import MultiPoly
 from . import linalg
 
 _ZERO = FieldScalar(0)
@@ -21,9 +22,10 @@ class MatF:
     """Immutable square matrix over Q(sqrt2).
 
     MatF(...), unit and scale take exact scalars only.  The trusted _of also
-    takes MultiPoly entries of one registry, for the generic matrices of
-    varieties.  @, trace and trace_pair work on those unchanged: their sums
-    start at the scalar 0, and a polynomial adds to it.
+    takes MultiPoly entries of one registry, and so do mat_from_coords and
+    raw_square, which build the generic matrices of varieties from MultiPoly
+    coordinates.  @, +, -, trace and trace_pair work on those unchanged:
+    their sums start at the scalar 0, and a polynomial adds to it.
     """
 
     __slots__ = ("entries", "size", "_nz")
@@ -139,14 +141,6 @@ class MatF:
     __repr__ = __str__
 
 
-def omega_matrix(n):
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = -1
-    return MatF(rows)
-
-
 def omega(u, v):
     """Standard symplectic pairing u^T J v on coordinate vectors."""
     cu = tuple(_scalar(x) for x in u)
@@ -204,17 +198,20 @@ def trace_pair(a, b):
 def raw_square(v):
     """The matrix v v^T J, a rank-one element of sp(2n).
 
+    The coordinates of v are exact scalars, or MultiPolys of one registry,
+    which are kept as they are; anything else is refused.
+
     Pairing: trace_pair(-1/2 * raw_square(v), x) = 1/2 * omega(x v, v),
     the quadratic co-moment value of x at v.
     """
-    coords = [_scalar(x) for x in v]
+    coords = [x if isinstance(x, MultiPoly) else _scalar(x) for x in v]
     m = len(coords)
     if m % 2:
         raise ValueError("vector must have even length")
     n = m // 2
     # row vector v^T J
     vtj = [-coords[n + j] for j in range(n)] + [coords[j] for j in range(n)]
-    return MatF([[vi * wj for wj in vtj] for vi in coords])
+    return MatF._of([vi * wj for wj in vtj] for vi in coords)
 
 
 @lru_cache(maxsize=None)
@@ -266,12 +263,21 @@ def coords_of(m, n):
 
 
 def mat_from_coords(coeffs, n):
-    basis = sp_basis(n)
-    m = MatF.zero(2 * n)
-    for c, b in zip(coeffs, basis):
+    """The element sum of c_k sp_basis(n)[k] of the coordinates coeffs, which
+    are exact scalars or MultiPolys of one registry.
+
+    The supports of the basis elements partition the (2n)^2 positions, so
+    each nonzero c_k is placed on the support of its element, times the +-1
+    found there, and nothing is summed.
+    """
+    size = 2 * n
+    rows = [[_ZERO] * size for _ in range(size)]
+    for c, b in zip(coeffs, sp_basis(n)):
         if c:
-            m = m + b.scale(c)
-    return m
+            for i, row in enumerate(b._nonzero_rows()):
+                for j, v in row:
+                    rows[i][j] = c * v
+    return MatF._of(rows)
 
 
 def ad_matrix(y, n):

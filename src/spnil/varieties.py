@@ -63,19 +63,10 @@ def full_registry(n):
 
 
 def _generic(registry, offset, n):
-    """Generic sp(2n) matrix: entries linear in registry slots offset+k."""
-    basis = sp_basis(n)
-    size = 2 * n
-    return MatF._of([MultiPoly.linear(registry, {offset + k: b.entries[i][j]
-                                                 for k, b in enumerate(basis)})
-                     for j in range(size)] for i in range(size))
-
-
-def _raw_square_symbolic(registry, offset, n):
-    size = 2 * n
-    u = [MultiPoly.variable(registry, offset + a) for a in range(size)]
-    vtj = [-u[n + j] for j in range(n)] + [u[j] for j in range(n)]
-    return MatF._of([u[i] * vtj[j] for j in range(size)] for i in range(size))
+    """Generic sp(2n) matrix: coordinate k is the variable in registry slot
+    offset + k."""
+    return mat_from_coords([MultiPoly.variable(registry, offset + k)
+                            for k in range(sp_dim(n))], n)
 
 
 def _minors2(m):
@@ -100,8 +91,8 @@ def _powers(m, count):
 def ideal_generators(kind, n):
     """Generators for the graded ideals of the construction.
 
-    "I": trace-dual coordinates of [x, y] + raw_square(i), degree 2, in the
-         full (x, y, i) registry.
+    "I": coordinates of the moment map [x, y] + raw_square(i) at the generic
+         point, degree 2, in the full (x, y, i) registry.
     "J": 2x2 minors of the generic commutator [x, y], degree 4, x-y registry.
     "K": 2x2 minors of a generic sp matrix, degree 2, x registry.
     "NIL": power traces tr(y^2k) for k = 1..n, degrees 2, 4, ..., 2n, y
@@ -113,9 +104,9 @@ def ideal_generators(kind, n):
     nn = sp_dim(n)
     if kind == "I":
         registry = full_registry(n)
-        total = (bracket(_generic(registry, 0, n), _generic(registry, nn, n))
-                 + _raw_square_symbolic(registry, 2 * nn, n))
-        return [trace_pair(d, total) for d in dual_basis(n)]
+        point = SchemePoint(n, _generic(registry, 0, n), _generic(registry, nn, n),
+                            [MultiPoly.variable(registry, 2 * nn + a) for a in range(2 * n)])
+        return coords_of(moment2(point), n)
     if kind == "J":
         registry = tuple(f"x{k}" for k in range(nn)) + tuple(f"y{k}" for k in range(nn))
         return _minors2(bracket(_generic(registry, 0, n), _generic(registry, nn, n)))
@@ -358,18 +349,18 @@ def positive_weight_space(y):
     completion of y; the formula needs no completion and is equivariant.
     The vectors y^j w with y^(2j) w = 0 are reduced in one elimination.
     """
-    if not is_nilpotent(y):
-        raise ValueError("positive_weight_space needs a nilpotent y")
     candidates = []
     power = y
-    while not power.is_zero():
+    for _ in range(y.size):
+        if power.is_zero():
+            return linalg.row_basis(candidates)
         square = power @ power
         for w in linalg.nullspace(square.entries):
             v = power.apply(w)
             if any(v):
                 candidates.append(v)
         power = power @ y
-    return linalg.row_basis(candidates)
+    raise ValueError("positive_weight_space needs a nilpotent y")
 
 
 @dataclass(frozen=True)
@@ -446,21 +437,16 @@ def embedding_pullback_check(n):
         v[a] = FieldScalar(1)
         tangents.append((zmat, zmat, v))
 
-    def flat(u):
-        return [-u[n + j] for j in range(n)] + [u[j] for j in range(n)]
-
     for t1 in tangents:
         a1, b1, u1 = t1
         v1 = [HALF * c for c in u1]
-        f1 = flat(u1)
         for t2 in tangents:
             a2, b2, u2 = t2
             v2 = [HALF * c for c in u2]
-            f2 = flat(u2)
             lhs = trace_pair(a1, b2) - trace_pair(a2, b1) + omega(u1, u2)
-            pair12 = sum((p * q for p, q in zip(f1, v2)), _ZERO)
-            pair21 = sum((p * q for p, q in zip(f2, v1)), _ZERO)
-            rhs = trace_pair(a1, b2) - trace_pair(a2, b1) + pair12 - pair21
+            # the covector omega(u, .) paired with the vector part v
+            rhs = (trace_pair(a1, b2) - trace_pair(a2, b1)
+                   + omega(u1, v2) - omega(u2, v1))
             if lhs != rhs:
                 return False
     return True

@@ -58,6 +58,10 @@ def private(name):
     return name.startswith("_")
 
 
+def any_name(name):
+    return True
+
+
 def not_a_test(name):
     return not name.startswith("test_")
 
@@ -68,14 +72,21 @@ def test_unused_private_helper_check_sees_a_left_over_helper():
         "b": "from .a import _kept\n",
     }
     assert unused_helpers(sources, private) == [("a", "_Left")]
+    # a package name is used once another module, __init__ included,
+    # imports or calls it
+    assert unused_helpers(sources, any_name) == [("a", "_Left"), ("a", "public")]
+    exported = dict(sources, __init__="from .a import public\n")
+    assert unused_helpers(exported, any_name) == [("a", "_Left")]
     # in the tests every function but a test_ one is a helper
     sources["b"] += "def oracle(): pass\ndef test_a(): _kept()\n"
     assert unused_helpers(sources, not_a_test) == [("a", "_Left"), ("a", "public"),
                                                    ("b", "oracle")]
 
 
-def test_no_private_helper_is_left_unused():
-    found = unused_helpers({p.stem: p.read_text() for p in PACKAGE}, private)
+def test_no_package_function_or_class_is_left_unused():
+    # every top-level name is read by the package itself or exported by
+    # __init__; one that only the tests call belongs in the tests
+    found = unused_helpers({p.stem: p.read_text() for p in PACKAGE}, any_name)
     assert not found
 
 

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from spnil.field import FieldScalar, ONE, SQRT2, fs
 from spnil.linalg import dense_rank
+from spnil.poly import MultiPoly
 from spnil.splie import (
     MatF,
     RootDatumC,
@@ -17,7 +20,6 @@ from spnil.splie import (
     is_sp,
     mat_from_coords,
     omega,
-    omega_matrix,
     raw_square,
     sp_basis,
     sp_dim,
@@ -37,6 +39,15 @@ def rand_sp(rng, n):
     for b in basis:
         m = m + b.scale(fs(Fraction(rng.randint(-2, 2))))
     return m
+
+
+def omega_matrix(n):
+    """J = ((0, I), (-I, 0)), the Gram matrix of omega."""
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = 1
+        rows[n + i][i] = -1
+    return MatF(rows)
 
 
 def test_omega_matrix_block_convention():
@@ -84,6 +95,20 @@ def test_sp_basis_size_and_membership():
             assert h.entries[n + i][n + i] == -ONE
         flat = [[e for row in m.entries for e in row] for m in basis]
         assert dense_rank(flat) == len(basis)
+
+
+def test_basis_supports_partition_the_entries():
+    # mat_from_coords places each coordinate on its element's support
+    for n in range(1, 5):
+        size = 2 * n
+        owner = {}
+        for k, b in enumerate(sp_basis(n)):
+            for i in range(size):
+                for j in range(size):
+                    if b[i, j]:
+                        assert b[i, j] in (ONE, -ONE) and (i, j) not in owner
+                        owner[i, j] = k
+        assert len(owner) == size * size
 
 
 def test_bracket_closure_and_jacobi():
@@ -255,6 +280,19 @@ def test_raw_square_lands_in_sp_and_pairing_identity():
             lhs = trace_pair(sq.scale(-half), x)
             rhs = omega(x.apply(v), v) * half
             assert lhs == rhs
+
+
+def test_raw_square_of_variables_evaluates_to_raw_square_at_a_point():
+    rng = random.Random(508)
+    for n in (1, 2, 3):
+        registry = tuple(f"i{a}" for a in range(2 * n))
+        square = raw_square([MultiPoly.variable(registry, a) for a in range(2 * n)])
+        for _ in range(5):
+            v = [rand_scalar(rng) for _ in range(2 * n)]
+            assert MatF([[e.eval(v) for e in row] for row in square.entries]) == raw_square(v)
+    for bad in (0.5, "1"):
+        with pytest.raises(TypeError):
+            raw_square([bad, 0])
 
 
 def test_raw_square_unipotent_equivariance():

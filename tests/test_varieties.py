@@ -23,10 +23,10 @@ from spnil.splie import (
     ad_matrix,
     bracket,
     coords_of,
+    dual_basis,
     is_nilpotent,
     mat_from_coords,
     omega,
-    omega_matrix,
     raw_square,
     sp_basis,
     sp_dim,
@@ -115,6 +115,47 @@ def test_ideal_generator_census():
                                                     "y0", "y1", "y2")
     with pytest.raises(ValueError):
         ideal_generators("Q", 1)
+
+
+def entrywise_generic(registry, offset, n):
+    """Generic sp(2n) matrix built entry by entry: entry (i, j) is the
+    linear form over every basis element's (i, j) entry."""
+    basis = sp_basis(n)
+    size = 2 * n
+    return MatF._of([MultiPoly.linear(registry, {offset + k: b.entries[i][j]
+                                                 for k, b in enumerate(basis)})
+                     for j in range(size)] for i in range(size))
+
+
+def raw_square_of_variables(registry, offset, n):
+    """v v^T J of the variables in slots offset .. offset + 2n - 1."""
+    size = 2 * n
+    u = [MultiPoly.variable(registry, offset + a) for a in range(size)]
+    vtj = [-u[n + j] for j in range(n)] + [u[j] for j in range(n)]
+    return MatF._of([u[i] * vtj[j] for j in range(size)] for i in range(size))
+
+
+def test_generic_matrix_matches_the_entrywise_linear_forms():
+    for n in (1, 2, 3):
+        xs = tuple(f"x{k}" for k in range(sp_dim(n)))
+        for registry, offset in ((xs, 0), (full_registry(n), sp_dim(n))):
+            m, want = _generic(registry, offset, n), entrywise_generic(registry, offset, n)
+            assert m == want and hash(m) == hash(want)
+            assert all(type(e) is MultiPoly and len(e.terms) == 1
+                       for row in m.entries for e in row)
+
+
+def test_moment_generators_match_the_trace_dual_pairings():
+    # I is the moment map of the generic point read in coordinates; the
+    # oracle pairs the dual basis with the bracket and the symbolic square
+    for n in (1, 2):
+        registry, nn = full_registry(n), sp_dim(n)
+        total = (bracket(entrywise_generic(registry, 0, n), entrywise_generic(registry, nn, n))
+                 + raw_square_of_variables(registry, 2 * nn, n))
+        want = [trace_pair(d, total) for d in dual_basis(n)]
+        gens = ideal_generators("I", n)
+        assert gens == want
+        assert [list(g.terms.items()) for g in gens] == [list(w.terms.items()) for w in want]
 
 
 def test_moment2_zero_exactly_on_scheme():
@@ -673,10 +714,13 @@ def test_quadratic_comoment_kills_minors():
 def test_unipotent_factors_are_symplectic_inverses():
     rng = random.Random(703)
     for n in (1, 2):
-        j = omega_matrix(n)
+        units = [[fs(int(a == b)) for b in range(2 * n)] for a in range(2 * n)]
         for g, ginv in unipotent_factors(n, rng, count=4):
             assert (g @ ginv - MatF.identity(2 * n)).is_zero()
-            assert (g.transpose() @ j @ g - j).is_zero()
+            # g^T J g = J, read on every pair of unit vectors
+            images = [g.apply(e) for e in units]
+            assert all(omega(images[a], images[b]) == omega(units[a], units[b])
+                       for a in range(2 * n) for b in range(2 * n))
             assert is_nilpotent(g - MatF.identity(2 * n))
 
 
