@@ -1,16 +1,19 @@
-"""Exact linear algebra over Q(sqrt2): dense solvers and sparse row reduction.
+"""Exact linear algebra over Q(sqrt2): dense solvers and one sparse rank.
 
 Dense matrices are sequences of FieldScalar rows and stay small (a few dozen
 rows), so plain Gauss-Jordan elimination is fine.  Its row updates are sparse:
 each pivot row is scaled and subtracted at its nonzero entries only.
-row_basis (the reduced rows), dense_rank, solve, nullspace, solution_space
-(solve and nullspace from one elimination) and inverse share that one kernel
-and copy their input.
-The sparse reducer backs the graded ideal-dimension computations, where rows
-are dicts keyed by exponent tuples.  It runs on integers only: each row is
-cleared to one denominator and reduced with gcd normalization, which keeps
-coefficient growth tame without changing any rank.  A row with a sqrt2 part
-is split into its rational and sqrt2 parts, beside its sqrt2 multiple.
+row_basis (the reduced rows), nullspace, solution_space (a solution and the
+kernel from one elimination) and inverse share that one kernel and copy their
+input.
+Every question about a rank alone goes to sparse_rank, whose rows are dicts
+keyed by comparable columns: exponent tuples in the graded ideal dimensions,
+integer columns for ad y and the stratum frame.  Solvability is a rank that an
+extra right-hand-side column leaves unchanged.  sparse_rank runs on integers
+only: each row is cleared to one denominator and reduced with gcd
+normalization, which keeps coefficient growth tame without changing any rank.
+A row with a sqrt2 part is split into its rational and sqrt2 parts, beside
+its sqrt2 multiple.
 """
 
 from math import gcd
@@ -95,26 +98,6 @@ def row_basis(mat):
     return a[:len(_rref(a, len(mat[0])))]
 
 
-def dense_rank(mat):
-    return len(row_basis(mat))
-
-
-def _augmented(mat, rhs):
-    return [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-
-
-def solve(mat, rhs):
-    """One exact solution of mat*x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not mat:
-        return []
-    cols = len(mat[0])
-    a = _augmented(mat, rhs)
-    return _particular(a, _rref(a, cols), cols)
-
-
 def nullspace(mat):
     """Basis of the exact kernel of mat (list of column vectors)."""
     if not mat:
@@ -125,15 +108,17 @@ def nullspace(mat):
 
 
 def solution_space(mat, rhs):
-    """(solve(mat, rhs), nullspace(mat)) from one elimination of [mat | rhs].
+    """(one solution of mat*x = rhs, or None if inconsistent, and
+    nullspace(mat)) from one elimination of [mat | rhs].
 
-    Pivots are sought in the columns of mat only, so the reduced rows there
-    are those of mat alone and the kernel basis is the same.
+    The solution sets the free variables to zero.  Pivots are sought in the
+    columns of mat only, so the reduced rows there are those of mat alone and
+    the kernel basis is the same.
     """
     if not mat:
         return [], []
     cols = len(mat[0])
-    a = _augmented(mat, rhs)
+    a = [list(row) + [r] for row, r in zip(mat, rhs)]
     pivots = _rref(a, cols)
     return _particular(a, pivots, cols), _kernel(a, pivots, cols)
 

@@ -205,8 +205,11 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     n = y.size // 2
     plus = positive_slots(sl2_complete(y).h)
     rest = tuple(i for i in range(2 * n) if i not in plus)
-    # x solves [y, x] = -raw_square(v) exactly when -x solves [y, x] = raw_square(v)
-    mat = ad_matrix(y, n)
+    # x solves [y, x] = -raw_square(v) exactly when -x solves [y, x] = raw_square(v);
+    # that is solvable exactly when its rhs, as column nn, keeps the rank of ad y
+    nn = sp_dim(n)
+    rows = [{j: c for j, c in enumerate(row) if c} for row in ad_matrix(y, n)]
+    rank = linalg.sparse_rank(rows)
 
     def combo(slots, coeffs):
         out = [_ZERO] * (2 * n)
@@ -215,7 +218,9 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
         return out
 
     def solvable(v):
-        return linalg.solve(mat, coords_of(raw_square(v), n)) is not None
+        rhs = coords_of(raw_square(v), n)
+        return linalg.sparse_rank([{**row, nn: r} if r else row
+                                   for row, r in zip(rows, rhs)]) == rank
 
     rng = random.Random(seed)
     ok = True

@@ -267,16 +267,17 @@ def mat_from_coords(coeffs, n):
     are exact scalars or MultiPolys of one registry.
 
     The supports of the basis elements partition the (2n)^2 positions, so
-    each nonzero c_k is placed on the support of its element, times the +-1
-    found there, and nothing is summed.
+    each nonzero c_k is placed on the support of its element as c_k or -c_k,
+    by the sign of the +-1 found there, and nothing is summed or multiplied.
     """
     size = 2 * n
     rows = [[_ZERO] * size for _ in range(size)]
     for c, b in zip(coeffs, sp_basis(n)):
         if c:
+            c = c if isinstance(c, MultiPoly) else _scalar(c)
             for i, row in enumerate(b._nonzero_rows()):
                 for j, v in row:
-                    rows[i][j] = c * v
+                    rows[i][j] = c if v.an > 0 else -c
     return MatF._of(rows)
 
 
@@ -290,8 +291,8 @@ def centralizer_dim(y):
     """Dimension of the centralizer of y inside sp(2n)."""
     require_sp(y)
     n = y.size // 2
-    ad = ad_matrix(y, n)
-    return sp_dim(n) - linalg.dense_rank(ad)
+    rows = [{j: c for j, c in enumerate(row) if c} for row in ad_matrix(y, n)]
+    return sp_dim(n) - linalg.sparse_rank(rows)
 
 
 def is_nilpotent(m):

@@ -377,8 +377,9 @@ def stratum_tangent_check(point):
     conjugation directions ([a,x], [a,y], a i) over the sp basis, centralizer
     shifts (z, 0, 0) with [z, y] = 0 and vector moves (w, 0, u) for u in the
     canonical half space of y, with [w, y] = -(polarization of raw_square at i
-    along u).  Its rank is the stratum dimension and it sits inside the
-    Jacobian's kernel; both, and isotropy, are read off a reduced basis.
+    along u).  Its rank, from sparse_rank, is the stratum dimension.  Lying
+    inside the Jacobian's kernel and isotropy are properties of the span, so
+    both are tested on the frame vectors themselves.
 
     Isotropy is tested against the moment-compatible form of _trace_form,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
@@ -386,16 +387,16 @@ def stratum_tangent_check(point):
     """
     _, jac = _jacobian_at(point)
     rows = [[(j, c) for j, c in enumerate(row) if c] for row in jac]
-    span = linalg.row_basis(_stratum_frame(point))
+    frame = _stratum_frame(point)
     inside = not any(
         sum((c * vec[j] for j, c in row if vec[j]), _ZERO)
-        for vec in span
+        for vec in frame
         for row in rows
     )
     return StratumReport(
-        frame_rank=len(span),
+        frame_rank=linalg.sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame]),
         inside_kernel=inside,
-        isotropic=_isotropic(span, point.n),
+        isotropic=_isotropic(frame, point.n),
     )
 
 

@@ -8,12 +8,10 @@ import pytest
 from spnil.field import FieldScalar, ONE, SQRT2, fs
 from spnil.linalg import (
     _rref,
-    dense_rank,
     inverse,
     nullspace,
     row_basis,
     solution_space,
-    solve,
     sparse_rank,
     truncated_ideal_dim,
 )
@@ -70,16 +68,16 @@ def shaped_matrices(seed):
 
 def test_dense_rank_known_matrices():
     ident = [[fs(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert dense_rank(ident) == 3
-    assert dense_rank([[ZERO, ZERO], [ZERO, ZERO]]) == 0
+    assert len(row_basis(ident)) == 3
+    assert len(row_basis([[ZERO, ZERO], [ZERO, ZERO]])) == 0
     # outer product has rank one
     u = [fs(1), fs(2), fs(-3)]
     outer = [[a * b for b in u] for a in u]
-    assert dense_rank(outer) == 1
+    assert len(row_basis(outer)) == 1
     # a sqrt2 multiple of a row adds nothing
     row = [ONE, SQRT2, fs(3)]
-    assert dense_rank([row, [SQRT2 * v for v in row]]) == 1
-    assert dense_rank([]) == 0
+    assert len(row_basis([row, [SQRT2 * v for v in row]])) == 1
+    assert len(row_basis([])) == 0
 
 
 def test_solve_recovers_a_solution():
@@ -90,15 +88,15 @@ def test_solve_recovers_a_solution():
         a = rand_mat(rng, rows, cols, with_root=True)
         x = [fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(cols)]
         b = mat_vec(a, x)
-        s = solve(a, b)
+        s = solution_space(a, b)[0]
         assert s is not None
         assert mat_vec(a, s) == b
 
 
 def test_solve_detects_inconsistency():
     a = [[fs(1), fs(2)], [fs(2), fs(4)]]
-    assert solve(a, [fs(1), fs(3)]) is None
-    assert solve(a, [fs(1), fs(2)]) is not None
+    assert solution_space(a, [fs(1), fs(3)])[0] is None
+    assert solution_space(a, [fs(1), fs(2)])[0] is not None
 
 
 def test_rref_is_reduced_echelon_and_spans_the_rows():
@@ -167,6 +165,20 @@ def test_rref_matches_the_full_row_reference():
     assert partial
 
 
+def reference_solve(a, b):
+    """The solution of a*x = b with free variables zero, read off
+    full_row_rref of [a | b], or None when a zero row meets a nonzero b."""
+    cols = len(a[0])
+    red = [list(row) + [v] for row, v in zip(a, b)]
+    pivots = full_row_rref(red, cols)
+    if any(row[cols] for row in red[len(pivots):]):
+        return None
+    x = [ZERO] * cols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[cols]
+    return x
+
+
 def test_solution_space_is_solve_and_nullspace():
     rng = random.Random(418)
     verdicts = set()
@@ -174,7 +186,7 @@ def test_solution_space_is_solve_and_nullspace():
         for a in shaped_matrices(seed):
             x = [fs(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in a[0]]
             for b in (mat_vec(a, x), rand_mat(rng, 1, len(a), with_root=True)[0]):
-                sol = solve(a, b)
+                sol = reference_solve(a, b)
                 assert solution_space(a, b) == (sol, nullspace(a))
                 verdicts.add(sol is not None)
     assert verdicts == {True, False}
@@ -185,13 +197,13 @@ def test_row_basis_is_reduced_echelon_and_spans_the_rows():
     assert row_basis([]) == []
     for a in shaped_matrices(415):
         basis = row_basis(a)
-        assert len(basis) == dense_rank(a)
+        assert len(basis) == len(row_basis(a))
         leads = [next(c for c, v in enumerate(row) if v) for row in basis]
         assert leads == sorted(set(leads))
         for r, lead in enumerate(leads):
             assert basis[r][lead] == ONE
             assert not any(basis[s][lead] for s in range(len(basis)) if s != r)
-        assert dense_rank(list(a) + basis) == dense_rank(a)
+        assert len(row_basis(list(a) + basis)) == len(row_basis(a))
 
 
 def test_solve_succeeds_exactly_when_rank_does_not_grow():
@@ -202,8 +214,8 @@ def test_solve_succeeds_exactly_when_rank_does_not_grow():
         x = [fs(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)]
         for b in (mat_vec(a, x), rand_mat(rng, 1, rows, with_root=True)[0]):
             augmented = [list(row) + [v] for row, v in zip(a, b)]
-            consistent = dense_rank(augmented) == dense_rank(a)
-            s = solve(a, b)
+            consistent = len(row_basis(augmented)) == len(row_basis(a))
+            s = solution_space(a, b)[0]
             assert (s is not None) == consistent
             if s is not None:
                 assert mat_vec(a, s) == b
@@ -219,10 +231,10 @@ def test_nullspace_vectors_are_killed_and_count_matches():
         basis = nullspace(a)
         for v in basis:
             assert mat_vec(a, v) == [ZERO] * rows
-        assert dense_rank(a) + len(basis) == cols
-        assert dense_rank(a) == dense_rank([list(col) for col in zip(*a)])
+        assert len(row_basis(a)) + len(basis) == cols
+        assert len(row_basis(a)) == len(row_basis([list(col) for col in zip(*a)]))
         if basis:
-            assert dense_rank(basis) == len(basis)
+            assert len(row_basis(basis)) == len(basis)
 
 
 def test_inverse_round_trip_and_singular_rejection():
@@ -251,13 +263,13 @@ def test_inverse_round_trip_and_singular_rejection():
         a = product(rand_mat(rng, n, inner, with_root=True),
                     rand_mat(rng, inner, n, with_root=True))
         ident = [[fs(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        if dense_rank(a) == n:
+        if len(row_basis(a)) == n:
             ainv = inverse(a)
             assert product(a, ainv) == ident == product(ainv, a)
         else:
             with pytest.raises(ValueError, match="singular"):
                 inverse(a)
-        verdicts.add(dense_rank(a) == n)
+        verdicts.add(len(row_basis(a)) == n)
     assert verdicts == {True, False}
 
 
@@ -278,7 +290,7 @@ def test_sparse_rank_agrees_with_dense():
         ]
     for a in mats:
         sparse = [{(j,): v for j, v in enumerate(row) if v} for row in a]
-        assert sparse_rank(sparse) == dense_rank(a)
+        assert sparse_rank(sparse) == len(row_basis(a))
     # the two generators are proportional over Q(sqrt2)
     reg = ("a", "b")
     a, b = (MultiPoly.variable(reg, i) for i in (0, 1))

@@ -6,6 +6,7 @@ import pytest
 
 from spnil import linalg
 from spnil.field import FieldScalar
+from spnil.linalg import sparse_rank
 from spnil.orbits import (
     CensusRow,
     census,
@@ -19,6 +20,7 @@ from spnil.orbits import (
 )
 from spnil.splie import (
     MatF,
+    ad_matrix,
     bracket,
     centralizer_dim,
     is_nilpotent,
@@ -33,8 +35,7 @@ ZERO = FieldScalar(0)
 
 
 def rank_of(mat):
-    from spnil.linalg import dense_rank
-    return dense_rank([list(row) for row in mat.entries])
+    return len(linalg.row_basis([list(row) for row in mat.entries]))
 
 
 def jordan_type(m):
@@ -122,7 +123,7 @@ def diagonal_h_system(e):
     zero = [ZERO] * (2 * n) ** 2
     cols = [_flat(bracket(hb, e)) + _flat(hb) for hb in basis[:n]]
     cols += [zero + _flat(-bracket(e, b)) for b in basis]
-    sol = linalg.solve(list(zip(*cols)), _flat(e.scale(2)) + zero)
+    sol = linalg.solution_space(list(zip(*cols)), _flat(e.scale(2)) + zero)[0]
     assert sol is not None
     return mat_from_coords(sol[:n], n)
 
@@ -133,7 +134,7 @@ def full_f_system(e, h):
     basis = sp_basis(n)
     cols = [_flat(bracket(e, b)) + _flat(bracket(h, b) + b.scale(2))
             for b in basis]
-    sol = linalg.solve(list(zip(*cols)), _flat(h) + [ZERO] * (2 * n) ** 2)
+    sol = linalg.solution_space(list(zip(*cols)), _flat(h) + [ZERO] * (2 * n) ** 2)[0]
     assert sol is not None
     return mat_from_coords(sol, n)
 
@@ -221,13 +222,34 @@ def test_census_internal_consistency():
             assert row.is_component == (row.partition in component_types(n))
 
 
-def test_square_lemma_on_all_small_types():
+def test_square_lemma_on_all_small_types(monkeypatch):
+    # each sample's verdict, a rank of ad y that the rhs column leaves
+    # unchanged, must be the dense solver's on the same right-hand side
+    calls = []
+
+    def spy(rows):
+        rank = sparse_rank(rows)
+        calls.append((rows, rank))
+        return rank
+
+    monkeypatch.setattr(linalg, "sparse_rank", spy)
+    verdicts = set()
     for n in (1, 2, 3):
         for lam in partitions_spn(n):
             if lam == (1,) * 2 * n:
                 continue
             y = nilpotent_rep(lam)
+            calls.clear()
             assert verify_sl2_square_lemma(y, trials=8, seed=11)
+            ad, nn = ad_matrix(y, n), sp_dim(n)
+            (_, base), samples = calls[0], calls[1:]
+            assert len(samples) == 16
+            for rows, rank in samples:
+                rhs = [row.get(nn, ZERO) for row in rows]
+                solvable = linalg.solution_space(ad, rhs)[0] is not None
+                assert (rank == base) is solvable
+                verdicts.add(solvable)
+    assert verdicts == {True, False}
 
 
 def test_lowest_coefficient_single_chain():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from spnil.field import FieldScalar, ONE, SQRT2, fs
-from spnil.linalg import dense_rank
+from spnil.linalg import row_basis
+from spnil.orbits import nilpotent_rep, partitions_spn
 from spnil.poly import MultiPoly
 from spnil.splie import (
     MatF,
@@ -25,6 +26,7 @@ from spnil.splie import (
     sp_dim,
     trace_pair,
 )
+from spnil.varieties import unipotent_factors
 
 ZERO = FieldScalar(0)
 
@@ -94,7 +96,7 @@ def test_sp_basis_size_and_membership():
             assert h.entries[i][i] == ONE
             assert h.entries[n + i][n + i] == -ONE
         flat = [[e for row in m.entries for e in row] for m in basis]
-        assert dense_rank(flat) == len(basis)
+        assert len(row_basis(flat)) == len(basis)
 
 
 def test_basis_supports_partition_the_entries():
@@ -356,7 +358,7 @@ def test_root_vectors_pair_and_bracket():
                 flat = [[e for row in m.entries for e in row]
                         for m in (out, target)]
                 if not out.is_zero():
-                    assert dense_rank(flat) == 1
+                    assert len(row_basis(flat)) == 1
             elif any(total):
                 assert out.is_zero()
 
@@ -376,4 +378,17 @@ def test_centralizer_and_nilpotency():
     for l, bl in enumerate(basis):
         col = [ad[k][l] for k in range(sp_dim(n))]
         assert mat_from_coords(col, n).entries == bracket(e, bl).entries
-    assert centralizer_dim(e) == sp_dim(n) - dense_rank(ad)
+    assert centralizer_dim(e) == sp_dim(n) - len(row_basis(ad))
+    # the sparse rank of ad y against the dense one, on every type for n <= 4
+    # and on unipotent conjugates, with sqrt2 entries, at n = 3
+    rng = random.Random(379)
+    ys = [nilpotent_rep(lam) for m in (1, 2, 3, 4) for lam in partitions_spn(m)]
+    for lam in partitions_spn(3):
+        y = nilpotent_rep(lam)
+        for g, ginv in unipotent_factors(3, rng, count=2):
+            y = g @ y @ ginv
+        ys.append(y)
+    assert any(v.bn for y in ys for row in y.entries for v in row)
+    for y in ys:
+        m = y.size // 2
+        assert centralizer_dim(y) == sp_dim(m) - len(row_basis(ad_matrix(y, m)))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from spnil.field import FieldScalar, fs
 from spnil.poly import MultiPoly
-from spnil.linalg import dense_rank, nullspace, solution_space, solve, truncated_ideal_dim
+from spnil.linalg import nullspace, row_basis, solution_space, sparse_rank, truncated_ideal_dim
 from spnil.orbits import (
     census,
     component_types,
@@ -194,7 +194,7 @@ def jordan_type(m):
     ranks = [m.size]
     power = m
     while True:
-        r = dense_rank([list(row) for row in power.entries])
+        r = len(row_basis([list(row) for row in power.entries]))
         ranks.append(r)
         if r == 0:
             break
@@ -337,16 +337,37 @@ def test_pairing_is_moment_compatible():
 
 
 def test_stratum_frame_is_half_dimensional_and_isotropic():
-    for n in (1, 2):
+    # the report reads the frame vectors themselves: its rank, kernel and
+    # isotropy verdicts must be those of the frame's reduced basis, and
+    # sqrt2 multiples or Q(sqrt2) combinations of frame vectors must leave
+    # the sparse rank alone (a wrong sqrt2 split would raise it)
+    irrational = 0
+    for n in (1, 2, 3):
         by_type = {row.partition: row for row in census(n)}
-        for lam in partitions_spn(n):
-            pt = sample_xnil_point(lam, seed=2)
-            rep = stratum_tangent_check(pt)
-            assert rep.frame_rank == sp_dim(n) + by_type[lam].vplus_dim
-            assert rep.inside_kernel is True
-            assert rep.isotropic is True
-            if by_type[lam].is_component:
-                assert rep.frame_rank == 2 * n * n + 2 * n
+        for lam in partitions_spn(n) if n < 3 else component_types(n):
+            for seed in (0, 2):
+                pt = sample_xnil_point(lam, seed=seed)
+                rep = stratum_tangent_check(pt)
+                assert rep.frame_rank == sp_dim(n) + by_type[lam].vplus_dim
+                assert rep.inside_kernel is True
+                assert rep.isotropic is True
+                if by_type[lam].is_component:
+                    assert rep.frame_rank == 2 * n * n + 2 * n
+                frame = _stratum_frame(pt)
+                basis = row_basis(frame)
+                jac = _jacobian_at(pt)[1]
+                assert rep.frame_rank == len(basis)
+                off_kernel = any(sum((c * v for c, v in zip(row, vec)), ZERO)
+                                 for vec in basis for row in jac)
+                assert rep.inside_kernel is not off_kernel
+                assert rep.isotropic is _isotropic(basis, n)
+                rows = [{j: c for j, c in enumerate(v) if c} for v in frame]
+                irrational += any(c.bn for row in rows for c in row.values())
+                v, w = [vec for vec in frame if any(vec)][:2]
+                for extra in ([fs(0, 1) * c for c in v],
+                              [fs(1, 1) * a + fs(Fraction(-1, 3), 2) * b for a, b in zip(v, w)]):
+                    assert sparse_rank(rows + [{j: c for j, c in enumerate(extra) if c}]) == len(basis)
+    assert irrational
 
 
 def test_flat_isotropy_matches_pairing_oracle():
@@ -374,6 +395,8 @@ def test_flat_isotropy_matches_pairing_oracle():
                     for v in frame]
         answer = _isotropic(rescaled, n)
         assert answer is oracle(rescaled, n)
+        # isotropy is a property of the span
+        assert _isotropic(row_basis(rescaled), n) is answer
         flipped += answer is False
         for edge in ([], kernel[:1], frame[:1]):
             assert _isotropic(edge, n) is oracle(edge, n) is True
@@ -408,7 +431,7 @@ def _ad_flat(y, n):
 
 def per_move_frame(point):
     """Reference stratum frame: one centralizer nullspace of ad y and one
-    solve per half space vector for its move."""
+    particular solution per half space vector for its move."""
     n = point.n
     nn = sp_dim(n)
     zeros_g = [ZERO] * nn
@@ -422,7 +445,7 @@ def per_move_frame(point):
     for u in positive_weight_space(point.y):
         polar = (raw_square([p + q for p, q in zip(ivec, u)])
                  - raw_square(ivec) - raw_square(u))
-        sol = solve(admat, _flat(-polar))
+        sol = solution_space(admat, _flat(-polar))[0]
         assert sol is not None
         frame.append(list(sol) + zeros_g + list(u))
     return frame
@@ -435,7 +458,7 @@ def test_stacked_kernel_frame_spans_the_per_move_frame():
     for pt in points:
         old, new = per_move_frame(pt), _stratum_frame(pt)
         assert len(old) == len(new)
-        assert dense_rank(old) == dense_rank(new) == dense_rank(old + new)
+        assert len(row_basis(old)) == len(row_basis(new)) == len(row_basis(old + new))
         # the conjugation rows, read off ad x and ad y, are the brackets
         nn = sp_dim(pt.n)
         assert new[:nn] == old[:nn]
@@ -496,17 +519,17 @@ def test_positive_weight_space_dimensions_match_census():
             basis = positive_weight_space(y)
             assert len(basis) == row.vplus_dim
             if basis:
-                assert dense_rank(basis) == len(basis)
+                assert len(row_basis(basis)) == len(basis)
                 # stable under y, which raises the grading
                 moved = [y.apply(list(v)) for v in basis]
-                assert dense_rank(basis + moved) == len(basis)
+                assert len(row_basis(basis + moved)) == len(basis)
             # the space transported by a unipotent conjugation
             for g, ginv in unipotent_factors(n, rng, count=1):
                 conj = positive_weight_space(g @ y @ ginv)
                 assert len(conj) == row.vplus_dim
                 pushed = [g.apply(list(v)) for v in basis]
                 if basis:
-                    assert dense_rank(conj + pushed) == len(conj)
+                    assert len(row_basis(conj + pushed)) == len(conj)
 
 
 def test_embedding_pullback():
@@ -678,8 +701,8 @@ def test_closed_form_nil_rows_match_char_coeff_gradients():
         ]
         assert nil_rows == [tuple(c * (-2 * k) for c in row)
                             for k, row in enumerate(symbolic, 1)]
-        assert dense_rank(nil_rows) == dense_rank(symbolic)
-        assert dense_rank(i_rows + nil_rows) == dense_rank(i_rows + symbolic)
+        assert len(row_basis(nil_rows)) == len(row_basis(symbolic))
+        assert len(row_basis(i_rows + nil_rows)) == len(row_basis(i_rows + symbolic))
         nonzero += any(any(row) for row in nil_rows)
     assert nonzero > 0
 
