@@ -28,7 +28,7 @@ class MatF:
     their sums start at the scalar 0, and a polynomial adds to it.
     """
 
-    __slots__ = ("entries", "size", "_nz")
+    __slots__ = ("entries", "size", "_nz", "_sup")
 
     def __init__(self, entries):
         rows = tuple(tuple(_scalar(v) for v in row) for row in entries)
@@ -38,6 +38,7 @@ class MatF:
                 raise ValueError("matrix must be square")
         self.entries = rows
         self._nz = None
+        self._sup = None
 
     @classmethod
     def _of(cls, rows):
@@ -47,6 +48,7 @@ class MatF:
         m.entries = tuple(tuple(row) for row in rows)
         m.size = len(m.entries)
         m._nz = None
+        m._sup = None
         return m
 
     def _nonzero_rows(self):
@@ -55,6 +57,13 @@ class MatF:
             self._nz = tuple(tuple((j, v) for j, v in enumerate(row) if v)
                              for row in self.entries)
         return self._nz
+
+    def _support(self):
+        """The nonzero entries as (row, column, value), computed once."""
+        if self._sup is None:
+            self._sup = tuple((i, j, v) for i, row in enumerate(self._nonzero_rows())
+                              for j, v in row)
+        return self._sup
 
     @classmethod
     def zero(cls, size):
@@ -258,8 +267,28 @@ def dual_basis(n):
 
 
 def coords_of(m, n):
-    """Coordinates of m in sp_basis(n), via the trace-dual basis."""
-    return [trace_pair(d, m) for d in dual_basis(n)]
+    """Coordinates of m in sp_basis(n): coordinate k is the trace projection
+    Tr(d_k m) with d_k = dual_basis(n)[k].
+
+    m is any square matrix of size 2n, with exact scalar or MultiPoly
+    entries; off sp(2n) this is the projection along the trace-orthogonal
+    complement.  Each d_k has one or two nonzero entries, so coordinate k
+    reads one or two entries of m.
+    """
+    if m.size != 2 * n:
+        raise ValueError("size mismatch")
+    e = m.entries
+    out = []
+    for d in dual_basis(n):
+        total = _ZERO
+        for i, j, v in d._support():
+            w = e[j][i]
+            # entries never written hold the shared _ZERO; the identity test
+            # spares them a FieldScalar.__bool__ call
+            if w is not _ZERO and w:
+                total = total + v * w
+        out.append(total)
+    return out
 
 
 def mat_from_coords(coeffs, n):
@@ -275,15 +304,33 @@ def mat_from_coords(coeffs, n):
     for c, b in zip(coeffs, sp_basis(n)):
         if c:
             c = c if isinstance(c, MultiPoly) else _scalar(c)
-            for i, row in enumerate(b._nonzero_rows()):
-                for j, v in row:
-                    rows[i][j] = c if v.an > 0 else -c
+            for i, j, v in b._support():
+                rows[i][j] = c if v.an > 0 else -c
     return MatF._of(rows)
 
 
 def ad_matrix(y, n):
-    """Matrix of x -> [y, x] on sp(2n) in the sp_basis coordinates."""
-    cols = [coords_of(bracket(y, b), n) for b in sp_basis(n)]
+    """Matrix of x -> [y, x] on sp(2n) in the sp_basis coordinates.
+
+    Column b is coords_of([y, b]), with [y, b] built from the entries of y:
+    [y, E_pq] is column p of y placed in column q, minus row q of y placed
+    in row p, and b is a sum of such E_pq with coefficients +-1.
+    """
+    size = 2 * n
+    if y.size != size:
+        raise ValueError("size mismatch")
+    by_row, by_col = y._nonzero_rows(), y.transpose()._nonzero_rows()
+    cols = []
+    for b in sp_basis(n):
+        rows = [[_ZERO] * size for _ in range(size)]
+        for p, q, v in b._support():
+            plus = v.an > 0
+            moves = [(i, q, w if plus else -w) for i, w in by_col[p]]
+            moves += [(p, j, -w if plus else w) for j, w in by_row[q]]
+            for i, j, w in moves:
+                cur = rows[i][j]
+                rows[i][j] = w if cur is _ZERO else cur + w
+        cols.append(coords_of(MatF._of(rows), n))
     return [list(row) for row in zip(*cols)]
 
 

@@ -277,6 +277,8 @@ def test_algebra_reports_off_the_goldens_keep_their_bytes():
             "2992aa61e192866d556eec63cee63d04f179cab6140ee76ba2f86f8423a93025",
         "verify theta0-hom -n 3":
             "0ee90a1fbf7d0541af9e778ed0738d1e2c1203c6c0d6ea53478df0896e4e760a",
+        "verify theta0-hom -n 4":
+            "df3c151673597d6de65676b12bb0271c7d996044c58968b9817ec6d73bc65da9",
     }
     for args, digest in pinned.items():
         code, out, _ = run(args.split())

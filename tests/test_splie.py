@@ -26,7 +26,7 @@ from spnil.splie import (
     sp_dim,
     trace_pair,
 )
-from spnil.varieties import unipotent_factors
+from spnil.varieties import SchemePoint, _generic, full_registry, moment2, unipotent_factors
 
 ZERO = FieldScalar(0)
 
@@ -148,6 +148,55 @@ def test_coords_round_trip():
 def rand_scalar(rng):
     return fs(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
               Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def coords_oracle(m, n):
+    """The trace projection walked over every entry of each dual element."""
+    return [trace_pair(d, m) for d in dual_basis(n)]
+
+
+def ad_matrix_oracle(y, n):
+    """Column b is the coordinates of the bracket [y, b], formed by matmul."""
+    cols = [coords_oracle(bracket(y, b), n) for b in sp_basis(n)]
+    return [list(row) for row in zip(*cols)]
+
+
+def test_ad_matrix_and_coords_of_match_the_trace_oracle():
+    rng = random.Random(512)
+    for n in range(1, 5):
+        size = 2 * n
+        ys = [nilpotent_rep(lam) for lam in partitions_spn(n)]
+        # fractional entries, then fractional and sqrt2 ones
+        ys.append(rand_sp(rng, n))
+        ys.append(sum((b.scale(rand_scalar(rng)) for b in sp_basis(n)), MatF.zero(size)))
+        assert any(v.bn for row in ys[-1].entries for v in row)
+        for y in ys:
+            assert ad_matrix(y, n) == ad_matrix_oracle(y, n)
+        # off sp(2n), coords_of is still the trace projection
+        for _ in range(3):
+            m = MatF([[rand_scalar(rng) for _ in range(size)] for _ in range(size)])
+            assert not is_sp(m)
+            assert coords_of(m, n) == coords_oracle(m, n)
+
+
+def test_coords_of_matches_the_trace_oracle_on_polynomial_entries():
+    for n in (1, 2):
+        nn = sp_dim(n)
+        registry = full_registry(n)
+        point = SchemePoint(n, _generic(registry, 0, n), _generic(registry, nn, n),
+                            [MultiPoly.variable(registry, 2 * nn + a) for a in range(2 * n)])
+        m = moment2(point)
+        got = coords_of(m, n)
+        assert any(isinstance(c, MultiPoly) for c in got)
+        assert got == coords_oracle(m, n)
+
+
+def test_coords_of_and_ad_matrix_refuse_a_size_other_than_2n():
+    for n, size in ((1, 4), (2, 2), (2, 6)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            coords_of(MatF.identity(size), n)
+        with pytest.raises(ValueError, match="size mismatch"):
+            ad_matrix(MatF.zero(size), n)
 
 
 def naive_product(a, b):
