@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldScalar, ONE, _scalar
-from .poly import MultiPoly, _add_terms, divide_by_linear
+from .poly import MultiPoly, _add_terms
 from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
 
@@ -125,26 +125,51 @@ def _reflections(n):
     return tuple((root, reflection(root)) for root in _datum(n).positive_roots)
 
 
-def root_linear(root, registry):
-    return MultiPoly.linear(registry, dict(enumerate(root.coeffs)))
-
-
 @lru_cache(maxsize=None)
 def _dunkl_monomial(direction, registry, exp, params):
-    """T_y of the monomial t^exp, by the divided differences of each root.
-    Shared table entry: callers copy it, never hand it out."""
-    p = MultiPoly(registry, {exp: ONE})
-    out = p.partial(direction)
-    for root, s_a in _reflections(len(registry)):
-        a_y = root.coeffs[direction]
-        if not a_y:
+    """T_y of the monomial t^exp for y = e_direction, written down term by
+    term from the closed form of each divided difference (Dunkl 1989).
+
+    With i = direction and e = exp, d_y t^e and the long root sqrt2 r_i both
+    land on t^(e - delta_i): (t^e - s_a t^e)/(sqrt2 t_i) is sqrt2 t^(e - delta_i)
+    for odd e_i and 0 for even, and <a, y> = sqrt2.  A short root a and -a
+    give the same summand, so take a = (r_i + sigma r_j)/sqrt2, with
+    <a, y> = 1/sqrt2.  Put X = t_i and Y = -sigma t_j: s_a swaps X and Y, the
+    root's linear form is (X - Y)/sqrt2, and with u = e_i, v = e_j,
+    m = min(u, v) and the rest R of the monomial the quotient is
+    sqrt2 (-sigma)^v R (X^u Y^v - X^v Y^u)/(X - Y), where the fraction is
+    sign(u - v) X^m Y^m (X^|u-v| - Y^|u-v|)/(X - Y).  Its term t_i^(u+v-1-l)
+    t_j^l (m <= l < max(u, v)) carries (-sigma)^(v+l), so the sigma = +-1
+    pair adds -2 sign(u - v) c_short to it when l - v is even and cancels
+    when it is odd.  Each coefficient is k + L c_long + S c_short for
+    integers k, L, S.  Shared table entry: callers copy it, never hand it out.
+    """
+    i = direction
+    u = exp[i]
+    acc = {}
+    if u:
+        acc[exp[:i] + (u - 1,) + exp[i + 1:]] = [u, -2 if u % 2 else 0, 0]
+    for j, v in enumerate(exp):
+        if j == i or v == u:
             continue
-        diff = p - w_act(s_a, p)
-        if diff.is_zero():
-            continue
-        quot = divide_by_linear(diff, root_linear(root, registry))
-        out = out - quot.scale(params.value(root) * a_y)
-    return out
+        sign = 1 if u > v else -1
+        m = min(u, v)
+        for l in range(m + (m - v) % 2, max(u, v), 2):
+            key = list(exp)
+            key[i], key[j] = u + v - 1 - l, l
+            key = tuple(key)
+            ints = acc.get(key)
+            if ints is None:
+                acc[key] = [0, 0, -2 * sign]
+            else:
+                ints[2] -= 2 * sign
+    c_long, c_short = params.c_long, params.c_short
+    terms = {}
+    for key, (k, long_, short) in acc.items():
+        c = FieldScalar(k) + c_long * long_ + c_short * short
+        if c:
+            terms[key] = c
+    return MultiPoly._of(registry, terms)
 
 
 def dunkl_apply(direction, p, params):

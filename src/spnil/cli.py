@@ -188,7 +188,7 @@ def suite_weyl(n, rng, trials):
             bad += 1
         if prod.order() > u.order() + v.order():
             bad += 1
-        if (u * v) * w != u * (v * w):
+        if prod * w != u * (v * w):
             bad += 1
     checks.append(_tally("even subalgebra, filtration, associativity",
                          {"n": n, "trials": trials}, bad, "violations"))

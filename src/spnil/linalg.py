@@ -7,10 +7,10 @@ row_basis (the reduced rows), nullspace, solution_space (a solution and the
 kernel from one elimination) and inverse share that one kernel and copy their
 input.
 Every question about a rank alone goes to sparse_rank, whose rows are dicts
-keyed by comparable columns: exponent tuples in the graded ideal dimensions,
-integer columns for ad y and the stratum frame.  Solvability is a rank that an
-extra right-hand-side column leaves unchanged.  sparse_rank runs on integers
-only: each row is cleared to one denominator and reduced with gcd
+keyed by comparable columns: packed monomials (poly._pack) in the graded ideal
+dimensions, integer columns for ad y and the stratum frame.  Solvability is a
+rank that an extra right-hand-side column leaves unchanged.  sparse_rank runs
+on integers only: each row is cleared to one denominator and reduced with gcd
 normalization, which keeps coefficient growth tame without changing any rank.
 A row with a sqrt2 part is split into its rational and sqrt2 parts, beside
 its sqrt2 multiple.
@@ -19,7 +19,7 @@ its sqrt2 multiple.
 from math import gcd
 
 from .field import FieldScalar
-from .poly import _int_pairs, monomials
+from .poly import _int_pairs, _pack, monomials
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
@@ -181,7 +181,8 @@ def _split(rows):
 
 def sparse_rank(rows):
     """Exact rank of sparse rows (dicts col -> FieldScalar); each row is
-    reduced on its largest column, so the columns must be comparable.
+    reduced on its largest column, so the columns must be comparable: ints
+    (basis positions or packed monomials) or tuples of them.
 
     Rows with a sqrt2 part are split into rational and sqrt2 parts: those
     rows and their sqrt2 multiples span the row space over Q, which has
@@ -199,6 +200,10 @@ def truncated_ideal_dim(gens, d, multiplier_filter=None):
     the products g*m over monomials m with deg(g*m) = d; the span's dimension
     comes from exact row reduction.  multiplier_filter, if given, keeps only
     multiplier monomials whose exponent tuple passes the predicate.
+
+    Each row is keyed by packed monomials: the key of a term of g*m is the
+    sum of the packs of its two exponent tuples.  Packed order is tuple order,
+    so sparse_rank picks the pivots that tuple keys would give.
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -217,11 +222,10 @@ def truncated_ideal_dim(gens, d, multiplier_filter=None):
         dg = g.total_degree()
         if dg > d:
             continue
+        packed = [(_pack(gexp), c) for gexp, c in g.terms.items()]
         for mexp in monomials(nvars, d - dg):
             if multiplier_filter is not None and not multiplier_filter(mexp):
                 continue
-            row = {}
-            for gexp, c in g.terms.items():
-                row[tuple(a + b for a, b in zip(gexp, mexp))] = c
-            rows.append(row)
+            m = _pack(mexp)
+            rows.append({key + m: c for key, c in packed})
     return sparse_rank(rows)

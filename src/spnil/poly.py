@@ -12,6 +12,7 @@ comparisons use graded lexicographic order: compare total degree first, then
 the exponent tuple lexicographically.
 """
 
+import struct
 from math import lcm
 from operator import add
 
@@ -22,6 +23,19 @@ _ZERO = FieldScalar(0)
 
 def grlex_key(exp):
     return (sum(exp), exp)
+
+
+def _pack(exps):
+    """One int holding the exponents exps as 32-bit digits, the first most
+    significant.  Exponents are nonnegative and far below 2^32, so digits never
+    carry: packed keys of one width order as their tuples do, and adding keys
+    multiplies monomials."""
+    return int.from_bytes(struct.pack(f">{len(exps)}I", *exps), "big")
+
+
+def _unpack(key, width):
+    """The exponent tuple of width digits packed into key."""
+    return struct.unpack(f">{width}I", key.to_bytes(4 * width, "big"))
 
 
 def _add_terms(acc, items):

@@ -133,7 +133,7 @@ class MatF:
     def apply(self, vec):
         if len(vec) != self.size:
             raise ValueError("size mismatch")
-        return [sum((a * v for a, v in zip(row, vec)), _ZERO) for row in self.entries]
+        return [sum((a * vec[j] for j, a in row), _ZERO) for row in self._nonzero_rows()]
 
     def __eq__(self, other):
         if not isinstance(other, MatF):
@@ -171,12 +171,17 @@ def is_sp(m):
         return False
     n = m.size // 2
     e = m.entries
+    # entries never written hold the shared _ZERO, and a pair of them agrees
+    # without a negation or a comparison
     for i in range(n):
         for j in range(n):
-            if e[n + i][n + j] != -e[j][i]:
+            a, b = e[n + i][n + j], e[j][i]
+            if (a is not _ZERO or b is not _ZERO) and a != -b:
                 return False
-            if j > i and (e[i][n + j] != e[j][n + i] or e[n + i][j] != e[n + j][i]):
-                return False
+            if j > i:
+                for a, b in ((e[i][n + j], e[j][n + i]), (e[n + i][j], e[n + j][i])):
+                    if (a is not _ZERO or b is not _ZERO) and a != b:
+                        return False
     return True
 
 

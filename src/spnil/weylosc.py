@@ -10,29 +10,22 @@ OscVector are both poly._Terms, the sparse-term container of MultiPoly, and
 add their key rules and their products to it.
 """
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .field import FieldScalar, ONE, HALF
-from .poly import MultiPoly, _Terms, _add_terms, _int_pairs
+from .poly import MultiPoly, _Terms, _add_terms, _int_pairs, _pack, _unpack
 from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
 
 
-def _pack(exps):
-    """One int holding exps[k] in 32-bit digit k.  Products pack a monomial
-    x^a y^b as the tuple a + b (x_1..x_n, then y_1..y_n); exponents are
-    nonnegative and far below 2^32, so digits never carry and multiplying
-    monomials adds keys."""
-    return int.from_bytes(struct.pack(f"<{len(exps)}I", *exps), "little")
-
-
-def _unpack(key, n):
-    """The (x-exponents, y-exponents) of a packed key."""
-    digits = struct.unpack(f"<{2 * n}I", key.to_bytes(8 * n, "little"))
+@lru_cache(maxsize=None)
+def _monomial(key, n):
+    """The (x-exponents, y-exponents) of the packed key of x^a y^b, which is
+    the 2n-digit pack of a + b."""
+    digits = _unpack(key, 2 * n)
     return digits[:n], digits[n:]
 
 
@@ -114,10 +107,11 @@ class WeylElement(_Terms):
         n = self.n
         d1, left = _int_pairs(self.terms)
         d2, right = _int_pairs(other.terms)
-        right = [(cc, _pack((0,) * n + d), p2, q2) for (cc, d), p2, q2 in right]
+        z = (0,) * n
+        right = [(cc, _pack(z + d), p2, q2) for (cc, d), p2, q2 in right]
         acc = {}
         for (a, b), p1, q1 in left:
-            xa = _pack(a)
+            xa = _pack(a + z)
             for cc, yd, p2, q2 in right:
                 p = p1 * p2 + 2 * q1 * q2
                 q = p1 * q2 + q1 * p2
@@ -131,7 +125,7 @@ class WeylElement(_Terms):
                         s[0] += p * w
                         s[1] += q * w
         den = d1 * d2
-        return WeylElement._of(n, {_unpack(key, n): FieldScalar._raw(p, q, den)
+        return WeylElement._of(n, {_monomial(key, n): FieldScalar._raw(p, q, den)
                                    for key, (p, q) in acc.items() if p or q})
 
     __rmul__ = __mul__

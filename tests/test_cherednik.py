@@ -21,7 +21,6 @@ from spnil.cherednik import (
     oscillator_radial_operator,
     radial_match,
     reflection,
-    root_linear,
     w_act,
 )
 
@@ -29,6 +28,10 @@ from spnil.cherednik import (
 def rand_params(rng):
     return Params.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                      Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def root_linear(root, registry):
+    return MultiPoly.linear(registry, dict(enumerate(root.coeffs)))
 
 
 def monomial(reg, exp):
@@ -135,6 +138,21 @@ def test_dunkl_table_matches_per_root_sums():
             for direction in range(n):
                 for prm in couplings:
                     assert dunkl_apply(direction, p, prm) == per_root_dunkl(direction, p, prm)
+
+
+def test_dunkl_closed_form_matches_per_root_divided_differences():
+    # the table writes T_y t^e down term by term; the oracle divides
+    # t^e - s_a t^e by each root's linear form
+    rng = random.Random(807)
+    root2 = Params.of(FieldScalar(0, 1), FieldScalar(Fraction(1, 3), Fraction(-1, 2)))
+    for n in (1, 2, 3, 4):
+        reg = h_registry(n)
+        for prm in (SINGULAR, rand_params(rng), root2):
+            for deg in range(6):
+                for exp in monomials(n, deg):
+                    p = MultiPoly(reg, {exp: fs(1)})
+                    for direction in range(n):
+                        assert dunkl_apply(direction, p, prm) == per_root_dunkl(direction, p, prm)
 
 
 def test_dunkl_table_keeps_couplings_and_results_apart():

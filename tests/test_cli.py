@@ -279,6 +279,12 @@ def test_algebra_reports_off_the_goldens_keep_their_bytes():
             "0ee90a1fbf7d0541af9e778ed0738d1e2c1203c6c0d6ea53478df0896e4e760a",
         "verify theta0-hom -n 4":
             "df3c151673597d6de65676b12bb0271c7d996044c58968b9817ec6d73bc65da9",
+        "verify relation -n 4 --seed 5":
+            "486261063f35ae50e1c8b9d6fe264bbf512976a1251f63777ab6fb1632db8ac3",
+        "verify dunkl -n 4 --seed 5 --trials 100":
+            "c5ef27e6b3e32d024a041d95b493fb84c92b6fbc4f5370daee8c2fdafaeba479",
+        "verify weyl -n 3 --seed 5":
+            "bf5038cc71925c4e0f0de81d3099d952547cda1215ba17e5b12bcc2fa2ec2dd4",
     }
     for args, digest in pinned.items():
         code, out, _ = run(args.split())

@@ -16,8 +16,9 @@ from spnil.linalg import (
     truncated_ideal_dim,
 )
 from spnil.orbits import nilpotent_rep, partitions_spn
-from spnil.poly import MultiPoly, count_monomials
-from spnil.splie import bracket, sp_basis
+from spnil.poly import MultiPoly, count_monomials, monomials
+from spnil.splie import bracket, sp_basis, sp_dim
+from spnil.varieties import ideal_generators
 
 ZERO = FieldScalar(0)
 
@@ -329,6 +330,37 @@ def test_truncated_ideal_dim_multiplier_filter():
     # multipliers of degree 2 passing the filter: a^2 and b^2 only
     assert truncated_ideal_dim([a * b], 4, multiplier_filter=even) == 2
     assert truncated_ideal_dim([a * b], 3, multiplier_filter=even) == 0
+
+
+def tuple_keyed_ideal_dim(gens, d, multiplier_filter=None):
+    """truncated_ideal_dim with its rows keyed by exponent tuples."""
+    nvars = len(gens[0].registry)
+    rows = []
+    for g in gens:
+        dg = g.total_degree()
+        if dg > d:
+            continue
+        for mexp in monomials(nvars, d - dg):
+            if multiplier_filter is None or multiplier_filter(mexp):
+                rows.append({tuple(a + b for a, b in zip(gexp, mexp)): c
+                             for gexp, c in g.terms.items()})
+    return sparse_rank(rows)
+
+
+def test_packed_ideal_rows_match_tuple_keyed_rows():
+    # the J and I generators of the Hilbert series comparison at n = 1, with
+    # and without its even-i-degree multiplier filter
+    nn = sp_dim(1)
+
+    def even_u(exp):
+        return sum(exp[2 * nn:]) % 2 == 0
+
+    for kind in ("J", "I"):
+        gens = ideal_generators(kind, 1)
+        for d in range(9):
+            for keep in (None, even_u):
+                want = tuple_keyed_ideal_dim(gens, d, keep)
+                assert truncated_ideal_dim(gens, d, multiplier_filter=keep) == want
 
 
 def test_truncated_ideal_dim_rejects_bad_input():

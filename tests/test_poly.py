@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from spnil.field import FieldScalar, ONE, fs
-from spnil.poly import MultiPoly, _add_terms, count_monomials, divide_by_linear, monomials
+from spnil.poly import (MultiPoly, _add_terms, _pack, _unpack, count_monomials, divide_by_linear,
+                        monomials)
 
 REG = ("a", "b", "c")
 
@@ -143,3 +144,16 @@ def test_add_terms_updates_in_place_and_drops_zero_sums():
     assert type(acc["b"]) is FieldScalar and type(acc["e"]) is int
     assert _add_terms(acc, [("a", fs(2)), ("e", -5)]) == {"b": fs(4), "a": fs(2)}
     assert _add_terms({}, []) == {}
+
+
+def test_packed_keys_round_trip_order_as_tuples_and_add_as_exponents():
+    rng = random.Random(26)
+    for width in (1, 2, 4, 8):
+        exps = [tuple(rng.choice((0, 1, 2, 7, 2 ** 31, 2 ** 32 - 1)) for _ in range(width))
+                for _ in range(30)]
+        for e in exps:
+            assert _unpack(_pack(e), width) == e
+        assert sorted(exps, key=_pack) == sorted(exps)
+        small = [tuple(rng.randint(0, 9) for _ in range(width)) for _ in range(30)]
+        for a, b in zip(small, small[1:]):
+            assert _unpack(_pack(a) + _pack(b), width) == tuple(x + y for x, y in zip(a, b))
