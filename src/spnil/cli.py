@@ -293,13 +293,9 @@ def suite_lagrangian(n, rng, trials):
             )
         )
         checks.append(
-            _check(
-                "stratum tangent frame is half-dimensional and isotropic",
-                {"n": n, "lambda": list(lam), "points": trials},
-                f"rank {target} frame inside the kernel, isotropic",
-                f"{frame_bad} bad points",
-                frame_bad == 0,
-            )
+            _tally("stratum tangent frame is half-dimensional and isotropic",
+                   {"n": n, "lambda": list(lam), "points": trials}, frame_bad, "bad points",
+                   f"rank {target} frame inside the kernel, isotropic")
         )
     return checks
 

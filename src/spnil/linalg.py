@@ -3,9 +3,9 @@
 Dense matrices are sequences of FieldScalar rows and stay small (a few dozen
 rows), so plain Gauss-Jordan elimination is fine.  Its row updates are sparse:
 each pivot row is scaled and subtracted at its nonzero entries only.
-row_basis (the reduced rows), nullspace, solution_space (a solution and the
-kernel from one elimination) and inverse share that one kernel and copy their
-input.
+row_basis (the reduced rows), nullspace and inverse share that one kernel
+and copy their input; solution_space (a solution and the kernel of mat) is a
+reading of the nullspace of [mat | rhs].
 Every question about a rank alone goes to sparse_rank, whose rows are dicts
 keyed by comparable columns: packed monomials (poly._pack) in the graded ideal
 dimensions, integer columns for ad y and the stratum frame.  Solvability is a
@@ -64,17 +64,6 @@ def _rref(a, cols):
     return pivots
 
 
-def _particular(a, pivots, cols):
-    """The solution with free variables zero, read off a reduced [mat | rhs],
-    or None when a zero row of mat meets a nonzero right-hand side."""
-    if any(row[cols] for row in a[len(pivots):]):
-        return None
-    x = [_ZERO] * cols
-    for row, col in zip(a, pivots):
-        x[col] = row[cols]
-    return x
-
-
 def _kernel(a, pivots, cols):
     """Kernel basis read off reduced rows: one vector per free column."""
     pivot_set = set(pivots)
@@ -109,18 +98,19 @@ def nullspace(mat):
 
 def solution_space(mat, rhs):
     """(one solution of mat*x = rhs, or None if inconsistent, and
-    nullspace(mat)) from one elimination of [mat | rhs].
+    nullspace(mat)), read off the kernel of [mat | rhs].
 
-    The solution sets the free variables to zero.  Pivots are sought in the
-    columns of mat only, so the reduced rows there are those of mat alone and
-    the kernel basis is the same.
+    x solves the system exactly when (-x, 1) lies in that kernel.  When the
+    system is consistent the rhs column is free, and its kernel vector is
+    (-x, 1) for the solution x with free variables zero; the kernel vectors
+    ending in 0 are those of mat, in the same order.
     """
     if not mat:
         return [], []
-    cols = len(mat[0])
-    a = [list(row) + [r] for row, r in zip(mat, rhs)]
-    pivots = _rref(a, cols)
-    return _particular(a, pivots, cols), _kernel(a, pivots, cols)
+    kernel = nullspace([list(row) + [r] for row, r in zip(mat, rhs)])
+    shifted = [v[:-1] for v in kernel if v[-1]]
+    homogeneous = [v[:-1] for v in kernel if not v[-1]]
+    return ([-c for c in shifted[0]] if shifted else None), homogeneous
 
 
 def inverse(mat):

@@ -377,9 +377,10 @@ class Root:
 class RootDatumC:
     """Cartan-Weyl data for sp(2n).
 
-    rbasis[i] = (E_ii - E_(n+i)(n+i))/sqrt2 is trace-orthonormal.  Roots are
-    recorded by their coordinates in that basis: short (r_i +- r_j)/sqrt2 with
-    squared length 1, long +-sqrt2 r_i with squared length 2; 2n^2 in all.
+    The Cartan elements r_i = (E_ii - E_(n+i)(n+i))/sqrt2 are
+    trace-orthonormal.  Roots are recorded by their coordinates in that basis:
+    short (r_i +- r_j)/sqrt2 with squared length 1, long +-sqrt2 r_i with
+    squared length 2; 2n^2 in all.
     Root vectors are normalized so that trace_pair(e_a, e_-a) = 1, with
     e_-a = e_a^T.
     """
@@ -389,10 +390,6 @@ class RootDatumC:
             raise ValueError("n must be positive")
         self.n = n
         size = 2 * n
-        self.rbasis = tuple(
-            (MatF.unit(size, i, i) - MatF.unit(size, n + i, n + i)).scale(_INV_SQRT2)
-            for i in range(n)
-        )
         pos = []
         for i in range(n):
             for j in range(i + 1, n):

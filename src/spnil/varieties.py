@@ -11,7 +11,7 @@ system are taken in closed form.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .field import FieldScalar, HALF
 from .poly import MultiPoly, count_monomials
@@ -45,7 +45,33 @@ class SchemePoint:
     i: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "i", tuple(self.i))  # so a point hashes
+        # a tuple, so the cached jacobian cannot go stale through i
+        object.__setattr__(self, "i", tuple(self.i))
+
+    @cached_property
+    def jacobian(self):
+        """Exact Jacobian rows of I plus NIL at the point, which must satisfy
+        every defining equation.
+
+        The I rows evaluate the symbolic gradients.  At a nilpotent y the NIL
+        rows have a closed form: d tr(y^2k)(b) = 2k tr(y^(2k-1) b), one row
+        per k over the y coordinates.  lagrangian_check and
+        stratum_tangent_check both read it, so it is kept on the point.
+        """
+        n = self.n
+        _, gens, grads = _nil_system(n)
+        values = point_coordinates(self)
+        if any(g.eval(values) for g in gens) or not is_nilpotent(self.y):
+            raise ValueError("point does not satisfy the defining equations")
+        jac = [tuple(cell.eval(values) for cell in row) for row in grads]
+        nn = sp_dim(n)
+        zeros_x, zeros_i = [_ZERO] * nn, [_ZERO] * (2 * n)
+        odd, square = self.y, self.y @ self.y
+        for k in range(1, n + 1):
+            jac.append(tuple(zeros_x + [trace_pair(odd, b) * (2 * k) for b in sp_basis(n)]
+                             + zeros_i))
+            odd = odd @ square
+        return tuple(jac)
 
 
 def moment2(point):
@@ -292,34 +318,6 @@ def _isotropic(vectors, n):
     )
 
 
-@lru_cache(maxsize=1)
-def _jacobian_at(point):
-    """Ambient dimension and exact Jacobian of I plus NIL at a point, which
-    must satisfy every defining equation.
-
-    The I rows evaluate the symbolic gradients.  At a nilpotent y the NIL
-    rows have a closed form: d tr(y^2k)(b) = 2k tr(y^(2k-1) b), one row per
-    k over the y coordinates.
-
-    lagrangian_check and stratum_tangent_check both need it, and the CLI runs
-    them on the same point one after the other, so the last point is kept.
-    """
-    n = point.n
-    registry, gens, grads = _nil_system(n)
-    values = point_coordinates(point)
-    if any(g.eval(values) for g in gens) or not is_nilpotent(point.y):
-        raise ValueError("point does not satisfy the defining equations")
-    jac = [tuple(cell.eval(values) for cell in row) for row in grads]
-    nn = sp_dim(n)
-    zeros_x, zeros_i = [_ZERO] * nn, [_ZERO] * (2 * n)
-    odd, square = point.y, point.y @ point.y
-    for k in range(1, n + 1):
-        jac.append(tuple(zeros_x + [trace_pair(odd, b) * (2 * k) for b in sp_basis(n)]
-                         + zeros_i))
-        odd = odd @ square
-    return len(registry), tuple(jac)
-
-
 def lagrangian_check(point):
     """Exact tangent data of the nilpotent subscheme at a sampled point.
 
@@ -328,11 +326,11 @@ def lagrangian_check(point):
     _trace_form vanishes on that kernel.
     """
     n = point.n
-    ambient, jac = _jacobian_at(point)
+    jac = point.jacobian
     kernel = linalg.nullspace(jac)
     isotropic = _isotropic(kernel, n)
     tangent = len(kernel)
-    rank = ambient - tangent
+    rank = len(jac[0]) - tangent
     return TangentReport(
         jacobian_rank=rank,
         tangent_dim=tangent,
@@ -385,8 +383,7 @@ def stratum_tangent_check(point):
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
     of the moment map for the strata to pair to zero.
     """
-    _, jac = _jacobian_at(point)
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in jac]
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in point.jacobian]
     frame = _stratum_frame(point)
     inside = not any(
         sum((c * vec[j] for j, c in row if vec[j]), _ZERO)
@@ -402,7 +399,7 @@ def stratum_tangent_check(point):
 
 def _stratum_frame(point):
     """The flat tangent frame of stratum_tangent_check, read off the moment
-    rows of _jacobian_at: [-ad y | ad x | P] in sp coordinates, where ad y
+    rows of point.jacobian: [-ad y | ad x | P] in sp coordinates, where ad y
     sends w to [y, w] and column c of P polarizes raw_square at i along e_c.
 
     The conjugation direction ([a, x], [a, y], a i) is minus column a of the
@@ -412,7 +409,7 @@ def _stratum_frame(point):
     0 and becomes (w, 0, sum c_k u_k); a move with no solution lowers the rank.
     """
     n, nn, ivec = point.n, sp_dim(point.n), list(point.i)
-    moment = _jacobian_at(point)[1][:nn]
+    moment = point.jacobian[:nn]
     half = positive_weight_space(point.y)
     frame = [[-row[nn + a] for row in moment] + [row[a] for row in moment] + b.apply(ivec)
              for a, b in enumerate(sp_basis(n))]

@@ -17,8 +17,8 @@ from spnil.linalg import (
 )
 from spnil.orbits import nilpotent_rep, partitions_spn
 from spnil.poly import MultiPoly, count_monomials, monomials
-from spnil.splie import bracket, sp_basis, sp_dim
-from spnil.varieties import ideal_generators
+from spnil.splie import ad_matrix, bracket, coords_of, raw_square, sp_basis, sp_dim
+from spnil.varieties import ideal_generators, positive_weight_space, sample_xnil_point
 
 ZERO = FieldScalar(0)
 
@@ -180,6 +180,20 @@ def reference_solve(a, b):
     return x
 
 
+def samplers_systems():
+    """The sampler's systems [x, y] = -raw_square(i), as ad y against
+    coords_of(raw_square(i)), at one point of every Jordan type for n <= 3:
+    its own i, then each unit vector outside the half space V+ of y."""
+    for n in (1, 2, 3):
+        for lam in partitions_spn(n):
+            pt = sample_xnil_point(lam, seed=0)
+            ad, half = ad_matrix(pt.y, n), positive_weight_space(pt.y)
+            units = [[fs(int(a == c)) for a in range(2 * n)] for c in range(2 * n)]
+            outside = [u for u in units if len(row_basis(half + [u])) > len(half)]
+            for vec in [list(pt.i)] + outside:
+                yield ad, coords_of(raw_square(vec), n), vec == list(pt.i)
+
+
 def test_solution_space_is_solve_and_nullspace():
     rng = random.Random(418)
     verdicts = set()
@@ -192,6 +206,14 @@ def test_solution_space_is_solve_and_nullspace():
                 verdicts.add(sol is not None)
     assert verdicts == {True, False}
     assert solution_space([], []) == ([], [])
+    # the sampler's own i is consistent, and at these points every unit
+    # vector outside V+ gives no solution
+    verdicts = set()
+    for a, b, own in samplers_systems():
+        sol = reference_solve(a, b)
+        assert solution_space(a, b) == (sol, nullspace(a))
+        verdicts.add((own, sol is not None))
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_row_basis_is_reduced_echelon_and_spans_the_rows():

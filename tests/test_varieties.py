@@ -37,7 +37,6 @@ from spnil.varieties import (
     _generic,
     _isotropic,
     _rep_and_positive_slots,
-    _jacobian_at,
     _odd_traces_vanish,
     _stratum_frame,
     _trace_form,
@@ -355,7 +354,7 @@ def test_stratum_frame_is_half_dimensional_and_isotropic():
                     assert rep.frame_rank == 2 * n * n + 2 * n
                 frame = _stratum_frame(pt)
                 basis = row_basis(frame)
-                jac = _jacobian_at(pt)[1]
+                jac = pt.jacobian
                 assert rep.frame_rank == len(basis)
                 off_kernel = any(sum((c * v for c, v in zip(row, vec)), ZERO)
                                  for vec in basis for row in jac)
@@ -385,7 +384,7 @@ def test_flat_isotropy_matches_pairing_oracle():
     flipped = 0
     for pt in points:
         n, nn = pt.n, sp_dim(pt.n)
-        kernel = nullspace(_jacobian_at(pt)[1])
+        kernel = nullspace(pt.jacobian)
         frame = _stratum_frame(pt)
         assert _isotropic(kernel, n) is oracle(kernel, n) is False
         assert _isotropic(frame, n) is oracle(frame, n) is True
@@ -485,7 +484,7 @@ def test_coordinate_systems_reduce_like_the_flat_ones():
                 flat_polars = [_flat(p) for p in polars]
                 coord = [list(row[:nn]) + [sum((c * v for c, v in zip(row[2 * nn:], u)), ZERO)
                                            for u in half]
-                         for row in _jacobian_at(pt)[1][:nn]]
+                         for row in pt.jacobian[:nn]]
                 flat = [list(row) + [p[r] for p in flat_polars] for r, row in enumerate(flat_ad)]
                 assert (solution_space(coord, [ZERO] * len(coord))
                         == solution_space(flat, [ZERO] * len(flat)))
@@ -506,7 +505,7 @@ def test_jacobian_moment_rows_are_ad_and_polarization():
                             - raw_square(ivec) - raw_square(e), n) for e in units]
         want = [tuple([-c for c in row_y] + list(row_x) + [p[r] for p in polars])
                 for r, (row_y, row_x) in enumerate(zip(ad_matrix(pt.y, n), ad_matrix(pt.x, n)))]
-        assert list(_jacobian_at(pt)[1][:nn]) == want
+        assert list(pt.jacobian[:nn]) == want
         polarized += any(any(p) for p in polars)
     assert polarized > 0
 
@@ -682,15 +681,15 @@ def test_power_traces_and_even_char_coeffs_generate_one_ideal():
 
 def test_closed_form_nil_rows_match_char_coeff_gradients():
     # at a nilpotent y every e_j (j >= 1) and every tr(y^i) vanish, so
-    # Newton's identities give d tr(y^2k) = -2k d e_2k: the closed-form
-    # NIL rows of _jacobian_at are the evaluated gradients of e_2k, scaled
+    # Newton's identities give d tr(y^2k) = -2k d e_2k: the closed-form NIL
+    # rows of SchemePoint.jacobian are the evaluated gradients of e_2k, scaled
     points = [sample_xnil_point(lam, seed=seed)
               for n in (1, 2) for lam in partitions_spn(n) for seed in range(3)]
     points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
     nonzero = 0
     for pt in points:
         n, nn = pt.n, sp_dim(pt.n)
-        jac = _jacobian_at(pt)[1]
+        jac = pt.jacobian
         i_rows, nil_rows = list(jac[:-n]), list(jac[-n:])
         ycoords = coords_of(pt.y, n)
         symbolic = [
@@ -717,7 +716,7 @@ def test_jacobian_refuses_points_off_the_nilpotent_scheme():
     assert moment2(semisimple).is_zero() and not is_nilpotent(semisimple.y)
     for pt in (off_moment, semisimple):
         with pytest.raises(ValueError, match="defining equations"):
-            _jacobian_at(pt)
+            pt.jacobian
         with pytest.raises(ValueError, match="defining equations"):
             lagrangian_check(pt)
         with pytest.raises(ValueError, match="defining equations"):
@@ -727,6 +726,41 @@ def test_jacobian_refuses_points_off_the_nilpotent_scheme():
     # the half space is built from the powers of y, which never vanish here
     with pytest.raises(ValueError, match="nilpotent"):
         positive_weight_space(semisimple.y)
+
+
+def test_each_point_builds_its_jacobian_once(monkeypatch):
+    # the Jacobian is kept on the point it belongs to, so interleaving two
+    # points builds each once; a cache with one slot keyed on the point
+    # builds again whenever the other point came in between
+    import spnil.varieties as varieties
+
+    builds = []
+
+    def counted(point):
+        builds.append(point)
+        return point_coordinates(point)
+
+    monkeypatch.setattr(varieties, "point_coordinates", counted)
+    p = sample_xnil_point((2, 2), seed=0)
+    q = sample_xnil_point((4,), seed=1)
+    jac_p = p.jacobian
+    assert jac_p is p.jacobian
+    lagrangian_check(q)
+    stratum_tangent_check(p)
+    _stratum_frame(p)
+    lagrangian_check(p)
+    assert p.jacobian is jac_p and builds == [p, q]
+
+    # a list i is stored as a tuple, so the point hashes and i cannot change
+    # under the Jacobian kept with it
+    listed = SchemePoint(p.n, p.x, p.y, list(p.i))
+    assert isinstance(listed.i, tuple) and listed == p and hash(listed) == hash(p)
+
+    builds.clear()
+    one_slot = functools.lru_cache(maxsize=1)(SchemePoint.jacobian.func)
+    for point in (p, q, p, q):
+        one_slot(point)
+    assert one_slot.cache_info().misses == 4 and builds == [p, q, p, q]
 
 
 def test_quadratic_comoment_kills_minors():
