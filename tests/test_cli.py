@@ -263,8 +263,9 @@ def test_csv_reports_keep_their_bytes():
 
 
 def test_algebra_reports_off_the_goldens_keep_their_bytes():
-    # reports that reach MultiPoly, WeylElement and OscVector, and theta0
-    # through splie.ad_matrix, at sizes and seeds no golden covers
+    # reports that reach MultiPoly, WeylElement and OscVector, theta0
+    # through splie.ad_matrix, and matrices of polynomials through trace_pair
+    # and the 2x2 minors, at sizes and seeds no golden covers
     pinned = {
         "verify weyl -n 2 --seed 5":
             "22c84631cae65ca677aa37c6d10689bde1f30319958ac2f31d079c7e82d51192",
@@ -285,6 +286,8 @@ def test_algebra_reports_off_the_goldens_keep_their_bytes():
             "c5ef27e6b3e32d024a041d95b493fb84c92b6fbc4f5370daee8c2fdafaeba479",
         "verify weyl -n 3 --seed 5":
             "bf5038cc71925c4e0f0de81d3099d952547cda1215ba17e5b12bcc2fa2ec2dd4",
+        "verify minors -n 4":
+            "b5f9c844fb54e16e991d2345f86c7bb88299701f6d114000c0d4d01c45c3d541",
     }
     for args, digest in pinned.items():
         code, out, _ = run(args.split())
