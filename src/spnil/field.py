@@ -215,6 +215,8 @@ class FieldScalar:
 def _scalar(c):
     """c as a FieldScalar, the one entry rule of sparse terms and matrices:
     anything but an int, Fraction or FieldScalar is refused."""
+    if type(c) is FieldScalar:
+        return c
     s = FieldScalar._coerce(c)
     if s is None:
         raise TypeError(f"coefficient {c!r} is not an exact scalar of Q(sqrt2)")

@@ -134,8 +134,8 @@ def sl2_complete(e):
     if not is_nilpotent(e):
         raise ValueError("input is not nilpotent")
     size = e.size
-    rows = e._nonzero_rows()
-    step = {j: (i, s) for i, row in enumerate(rows) for j, s in row}  # e v_j = s v_i
+    rows = e.rows.values()
+    step = {j: (i, s) for i, row in e.rows.items() for j, s in row.items()}  # e v_j = s v_i
     if any(len(row) > 1 for row in rows) or len(step) < sum(map(len, rows)):
         raise ValueError("input is not in Jordan chain form")
 
@@ -153,7 +153,7 @@ def sl2_complete(e):
             h_rows[v][v] = FieldScalar(2 * k + 1 - d)
             if k + 1 < d:
                 f_rows[v][chain[k + 1]] = FieldScalar((k + 1) * (d - 1 - k)) / step[v][1]
-    h, f = MatF._of(h_rows), MatF._of(f_rows)
+    h, f = MatF(h_rows), MatF(f_rows)
 
     if bracket(h, e) != e.scale(2) or bracket(h, f) != f.scale(-2) or bracket(e, f) != h:
         raise ValueError("sl2 relations failed to close")
@@ -163,7 +163,7 @@ def sl2_complete(e):
 def positive_slots(h):
     """Coordinates of V on which the diagonal h is positive; their unit
     vectors span the positive weight space V_+."""
-    return tuple(i for i in range(h.size) if h.entries[i][i].sign() > 0)
+    return tuple(i for i, row in h.rows.items() if i in row and row[i].sign() > 0)
 
 
 @dataclass(frozen=True)

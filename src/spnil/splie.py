@@ -8,9 +8,10 @@ B, C symmetric.  The invariant pairing is the trace form Tr(ab).
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .field import FieldScalar, SQRT2, _scalar
-from .poly import MultiPoly
+from .poly import MultiPoly, _add_terms
 from . import linalg
 
 _ZERO = FieldScalar(0)
@@ -19,7 +20,14 @@ _INV_SQRT2 = FieldScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
 class MatF:
-    """Immutable square matrix over Q(sqrt2).
+    """Immutable square matrix over Q(sqrt2) that stores only its support.
+
+    rows maps each row with a nonzero entry to the dict of its nonzero
+    entries by column, both in increasing order and never mutated.  So equal
+    matrices store equal rows, the zero matrix has none, and every sum over
+    the entries runs in dense order, which gives equal polynomial entries
+    their terms in equal order.  entries, the dense tuple of row tuples, is
+    built on each read.
 
     MatF(...), unit and scale take exact scalars only.  The trusted _of also
     takes MultiPoly entries of one registry, and so do mat_from_coords and
@@ -28,126 +36,133 @@ class MatF:
     their sums start at the scalar 0, and a polynomial adds to it.
     """
 
-    __slots__ = ("entries", "size", "_nz", "_sup")
+    __slots__ = ("size", "rows")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_scalar(v) for v in row) for row in entries)
-        self.size = len(rows)
-        for row in rows:
-            if len(row) != self.size:
-                raise ValueError("matrix must be square")
-        self.entries = rows
-        self._nz = None
-        self._sup = None
+        dense = [[_scalar(v) for v in row] for row in entries]
+        self.size = len(dense)
+        if any(len(row) != self.size for row in dense):
+            raise ValueError("matrix must be square")
+        rows = ({j: v for j, v in enumerate(row) if v} for row in dense)
+        self.rows = {i: row for i, row in enumerate(rows) if row}
 
     @classmethod
-    def _of(cls, rows):
-        """Trusted constructor: rows are square and hold FieldScalars, or
-        MultiPolys of one registry."""
+    def _of(cls, size, rows):
+        """Trusted constructor: rows as above, of FieldScalars or MultiPolys."""
         m = object.__new__(cls)
-        m.entries = tuple(tuple(row) for row in rows)
-        m.size = len(m.entries)
-        m._nz = None
-        m._sup = None
+        m.size = size
+        m.rows = rows
         return m
 
-    def _nonzero_rows(self):
-        """Per row, its nonzero entries as (column, value), computed once."""
-        if self._nz is None:
-            self._nz = tuple(tuple((j, v) for j, v in enumerate(row) if v)
-                             for row in self.entries)
-        return self._nz
-
-    def _support(self):
-        """The nonzero entries as (row, column, value), computed once."""
-        if self._sup is None:
-            self._sup = tuple((i, j, v) for i, row in enumerate(self._nonzero_rows())
-                              for j, v in row)
-        return self._sup
+    @property
+    def entries(self):
+        cols = range(self.size)
+        return tuple(tuple(self.rows.get(i, _NO_ROW).get(j, _ZERO) for j in cols)
+                     for i in cols)
 
     @classmethod
     def zero(cls, size):
-        return cls._of([_ZERO] * size for _ in range(size))
+        return cls._of(size, {})
 
     @classmethod
     def identity(cls, size):
-        return cls._of([_ONE if i == j else _ZERO for j in range(size)]
-                       for i in range(size))
+        return cls._of(size, {i: {i: _ONE} for i in range(size)})
 
     @classmethod
     def unit(cls, size, i, j, c=1):
-        rows = [[_ZERO] * size for _ in range(size)]
-        rows[i][j] = _scalar(c)
-        return cls._of(rows)
+        c = _scalar(c)
+        return cls._of(size, {i: {j: c}} if c else {})
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return self.rows.get(ij[0], _NO_ROW).get(ij[1], _ZERO)
 
     def _check(self, other):
         if self.size != other.size:
             raise ValueError("size mismatch")
 
-    # + and - by a zero entry, and scale of a zero entry, keep the entry
-    # itself: scalars are immutable, so sharing one is safe
-
     def __add__(self, other):
+        # a row of self that other leaves alone is shared, never mutated
         self._check(other)
-        return MatF._of([[a + b if b else a for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)])
+        rows = dict(self.rows)
+        for i, row in other.rows.items():
+            acc = _add_terms(dict(rows.get(i, _NO_ROW)), row.items())
+            if acc:
+                rows[i] = dict(sorted(acc.items()))
+            else:
+                del rows[i]
+        return MatF._of(self.size, dict(sorted(rows.items())))
 
     def __sub__(self, other):
-        self._check(other)
-        return MatF._of([[a - b if b else a for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self):
-        return MatF._of([[-a for a in row] for row in self.entries])
+        return MatF._of(self.size, {i: {j: -v for j, v in row.items()}
+                                    for i, row in self.rows.items()})
 
     def scale(self, c):
         c = _scalar(c)
-        return MatF._of([[c * a if a else a for a in row] for row in self.entries])
+        if not c:
+            return MatF.zero(self.size)
+        return MatF._of(self.size, {i: {j: c * v for j, v in row.items()}
+                                    for i, row in self.rows.items()})
 
     def __matmul__(self, other):
-        # row i of the product is sum_k a_ik * (row k of other); zero entries
-        # on either side contribute nothing and are skipped
+        # row i of the product is sum_k a_ik * (row k of other), over the
+        # stored entries only
         self._check(other)
-        right = other._nonzero_rows()
-        out = []
-        for row in self._nonzero_rows():
-            acc = [_ZERO] * self.size
-            for k, a in row:
-                for j, b in right[k]:
-                    acc[j] = acc[j] + a * b
-            out.append(acc)
-        return MatF._of(out)
+        right = other.rows
+        out = {}
+        for i, row in self.rows.items():
+            acc = {}
+            for k, a in row.items():
+                if k in right:
+                    _add_terms(acc, ((j, a * b) for j, b in right[k].items()))
+            if acc:
+                out[i] = dict(sorted(acc.items()))
+        return MatF._of(self.size, out)
 
     def transpose(self):
-        return MatF._of(zip(*self.entries))
+        return _of_entries(self.size, {(j, i): v for i, row in self.rows.items()
+                                       for j, v in row.items()})
 
     def trace(self):
-        return sum((self.entries[i][i] for i in range(self.size)), _ZERO)
+        return sum((row[i] for i, row in self.rows.items() if i in row), _ZERO)
 
     def is_zero(self):
-        return all(not v for row in self.entries for v in row)
+        return not self.rows
 
     def apply(self, vec):
         if len(vec) != self.size:
             raise ValueError("size mismatch")
-        return [sum((a * vec[j] for j, a in row), _ZERO) for row in self._nonzero_rows()]
+        return [sum((a * vec[j] for j, a in self.rows.get(i, _NO_ROW).items()), _ZERO)
+                for i in range(self.size)]
 
     def __eq__(self, other):
         if not isinstance(other, MatF):
             return NotImplemented
-        return self.size == other.size and self.entries == other.entries
+        return self.size == other.size and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(tuple((i, tuple(row.items())) for i, row in self.rows.items()))
 
     def __str__(self):
         return "\n".join("[" + "  ".join(str(v) for v in row) + "]"
                          for row in self.entries)
 
     __repr__ = __str__
+
+
+# the row of a matrix that stores none there, read-only
+_NO_ROW = MappingProxyType({})
+
+
+def _of_entries(size, entries):
+    """The MatF of the dict entries from (row, column) to nonzero entry, in
+    any order."""
+    rows = {}
+    for (i, j), v in sorted(entries.items()):
+        rows.setdefault(i, {})[j] = v
+    return MatF._of(size, rows)
 
 
 def omega(u, v):
@@ -164,24 +179,18 @@ def omega(u, v):
 
 
 def is_sp(m):
-    """m^T J + J m = 0, read entrywise: J m must be symmetric, and row i of
-    J m is row i + n of m for i < n, minus row i - n for i >= n.  In blocks
-    ((A, B), (C, D)) that says B and C are symmetric and D = -A^T."""
+    """m^T J + J m = 0: in blocks ((A, B), (C, D)), B and C are symmetric
+    and D = -A^T.  So each stored entry (p, q) needs its partner (s(q), s(p))
+    stored, s swapping the halves of V: equal in B and C, negated in A and D."""
     if m.size % 2:
         return False
     n = m.size // 2
-    e = m.entries
-    # entries never written hold the shared _ZERO, and a pair of them agrees
-    # without a negation or a comparison
-    for i in range(n):
-        for j in range(n):
-            a, b = e[n + i][n + j], e[j][i]
-            if (a is not _ZERO or b is not _ZERO) and a != -b:
+    rows = m.rows
+    for p, row in rows.items():
+        for q, v in row.items():
+            w = rows.get(q + n if q < n else q - n, _NO_ROW).get(p + n if p < n else p - n)
+            if w is None or w != (v if (p < n) != (q < n) else -v):
                 return False
-            if j > i:
-                for a, b in ((e[i][n + j], e[j][n + i]), (e[n + i][j], e[n + j][i])):
-                    if (a is not _ZERO or b is not _ZERO) and a != b:
-                        return False
     return True
 
 
@@ -197,14 +206,14 @@ def bracket(a, b):
 
 def trace_pair(a, b):
     """Tr(ab) = sum over i, j of a_ij b_ji, without forming the product.
-    Walks the cached nonzero entries of a and looks up b_ji for each."""
+    Walks the entries of a and looks up b_ji for each."""
     a._check(b)
+    rows = b.rows
     total = _ZERO
-    rows = b.entries
-    for i, row in enumerate(a._nonzero_rows()):
-        for j, v in row:
-            w = rows[j][i]
-            if w:
+    for i, row in a.rows.items():
+        for j, v in row.items():
+            w = rows.get(j, _NO_ROW).get(i)
+            if w is not None:
                 total = total + v * w
     return total
 
@@ -225,7 +234,8 @@ def raw_square(v):
     n = m // 2
     # row vector v^T J
     vtj = [-coords[n + j] for j in range(n)] + [coords[j] for j in range(n)]
-    return MatF._of([vi * wj for wj in vtj] for vi in coords)
+    return MatF._of(m, {i: {j: vi * wj for j, wj in enumerate(vtj) if wj}
+                        for i, vi in enumerate(coords) if vi})
 
 
 @lru_cache(maxsize=None)
@@ -278,20 +288,20 @@ def coords_of(m, n):
     m is any square matrix of size 2n, with exact scalar or MultiPoly
     entries; off sp(2n) this is the projection along the trace-orthogonal
     complement.  Each d_k has one or two nonzero entries, so coordinate k
-    reads one or two entries of m.
+    reads one or two entries of m, off the rows of its transpose.
     """
     if m.size != 2 * n:
         raise ValueError("size mismatch")
-    e = m.entries
+    cols = m.transpose().rows
     out = []
     for d in dual_basis(n):
         total = _ZERO
-        for i, j, v in d._support():
-            w = e[j][i]
-            # entries never written hold the shared _ZERO; the identity test
-            # spares them a FieldScalar.__bool__ call
-            if w is not _ZERO and w:
-                total = total + v * w
+        for i, row in d.rows.items():
+            if i in cols:
+                col = cols[i]
+                for j, v in row.items():
+                    if j in col:
+                        total = total + v * col[j]
         out.append(total)
     return out
 
@@ -304,14 +314,14 @@ def mat_from_coords(coeffs, n):
     each nonzero c_k is placed on the support of its element as c_k or -c_k,
     by the sign of the +-1 found there, and nothing is summed or multiplied.
     """
-    size = 2 * n
-    rows = [[_ZERO] * size for _ in range(size)]
+    entries = {}
     for c, b in zip(coeffs, sp_basis(n)):
         if c:
             c = c if isinstance(c, MultiPoly) else _scalar(c)
-            for i, j, v in b._support():
-                rows[i][j] = c if v.an > 0 else -c
-    return MatF._of(rows)
+            for i, row in b.rows.items():
+                for j, v in row.items():
+                    entries[i, j] = c if v.an > 0 else -c
+    return _of_entries(2 * n, entries)
 
 
 def ad_matrix(y, n):
@@ -324,18 +334,18 @@ def ad_matrix(y, n):
     size = 2 * n
     if y.size != size:
         raise ValueError("size mismatch")
-    by_row, by_col = y._nonzero_rows(), y.transpose()._nonzero_rows()
+    by_row, by_col = y.rows, y.transpose().rows
     cols = []
     for b in sp_basis(n):
-        rows = [[_ZERO] * size for _ in range(size)]
-        for p, q, v in b._support():
-            plus = v.an > 0
-            moves = [(i, q, w if plus else -w) for i, w in by_col[p]]
-            moves += [(p, j, -w if plus else w) for j, w in by_row[q]]
-            for i, j, w in moves:
-                cur = rows[i][j]
-                rows[i][j] = w if cur is _ZERO else cur + w
-        cols.append(coords_of(MatF._of(rows), n))
+        entries = {}
+        for p, brow in b.rows.items():
+            for q, v in brow.items():
+                plus = v.an > 0
+                _add_terms(entries, (((i, q), w if plus else -w)
+                                     for i, w in by_col.get(p, _NO_ROW).items()))
+                _add_terms(entries, (((p, j), -w if plus else w)
+                                     for j, w in by_row.get(q, _NO_ROW).items()))
+        cols.append(coords_of(_of_entries(size, entries), n))
     return [list(row) for row in zip(*cols)]
 
 

@@ -96,14 +96,10 @@ def _generic(registry, offset, n):
 
 
 def _minors2(m):
-    e, size = m.entries, m.size
-    out = []
-    for r1 in range(size):
-        for r2 in range(r1 + 1, size):
-            for c1 in range(size):
-                for c2 in range(c1 + 1, size):
-                    out.append(e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1])
-    return out
+    size = m.size
+    return [m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]
+            for r1 in range(size) for r2 in range(r1 + 1, size)
+            for c1 in range(size) for c2 in range(c1 + 1, size)]
 
 
 def _powers(m, count):
@@ -178,9 +174,14 @@ def theta1_kills_minors(n):
     return all(g.subst(images).is_zero() for g in gens)
 
 
+@lru_cache(maxsize=None)
+def _datum(n):
+    return RootDatumC(n)
+
+
 def unipotent_factors(n, rng, count=None):
     """Random unipotent symplectic factors (I + t e_root, inverse I - t e_root)."""
-    datum = RootDatumC(n)
+    datum = _datum(n)
     if count is None:
         count = rng.randint(1, 3)
     ident = MatF.identity(2 * n)

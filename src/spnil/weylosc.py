@@ -168,8 +168,8 @@ def classical_comoment(m):
     registry = v_registry(n)
     # w[j] is v_j*, the registry variable (j + n) mod 2n; mw[i] is (m v)_i
     w = [MultiPoly.variable(registry, (j + n) % size) for j in range(size)]
-    mw = [MultiPoly.linear(registry, {(j + n) % size: c for j, c in enumerate(row)})
-          for row in m.entries]
+    mw = [MultiPoly.linear(registry, {(j + n) % size: c for j, c in m.rows.get(i, {}).items()})
+          for i in range(size)]
     total = MultiPoly.zero(registry)
     for i in range(n):
         total = total + mw[i] * w[n + i] - mw[n + i] * w[i]
@@ -206,7 +206,6 @@ def theta1(m):
     """
     require_sp(m)
     n = m.size // 2
-    e = m.entries
     z = (0,) * n
 
     def mono(*idx):
@@ -215,16 +214,17 @@ def theta1(m):
             exps[i] += 1
         return tuple(exps)
 
+    # the stored entries of the A, B and C blocks; D = -A^T adds nothing
     def terms():
-        for i in range(n):
-            for j in range(n):
-                if e[i][j]:
-                    yield (mono(i), mono(j)), e[i][j]
-                if e[i][n + j]:
-                    yield (mono(i, j), z), e[i][n + j] * HALF
-                if e[n + i][j]:
-                    yield (z, mono(i, j)), -e[n + i][j] * HALF
-        tr_a = sum((e[i][i] for i in range(n)), _ZERO)
+        for i, row in m.rows.items():
+            for j, v in row.items():
+                if i < n and j < n:
+                    yield (mono(i), mono(j)), v
+                elif i < n:
+                    yield (mono(i, j - n), z), v * HALF
+                elif j < n:
+                    yield (z, mono(i - n, j)), -v * HALF
+        tr_a = sum((m[i, i] for i in range(n)), _ZERO)
         if tr_a:
             yield (z, z), tr_a * HALF
 
@@ -250,21 +250,6 @@ class LinearVectorField:
             raise ValueError("rank mismatch")
         return LinearVectorField(self.n, bracket(self.mat, other.mat))
 
-    def apply(self, p):
-        """Act as a derivation on a polynomial in the sp coordinate registry."""
-        size = self.mat.size
-        if len(p.registry) != size:
-            raise ValueError("registry does not match sp dimension")
-        out = MultiPoly.zero(p.registry)
-        for k in range(size):
-            dk = p.partial(k)
-            if dk.is_zero():
-                continue
-            image = MultiPoly.linear(p.registry,
-                                     {l: row[k] for l, row in enumerate(self.mat.entries)})
-            out = out + dk * image
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LinearVectorField):
             return NotImplemented
@@ -279,7 +264,7 @@ def theta0(m):
     b -> [m, b], which makes the assignment a Lie algebra homomorphism."""
     require_sp(m)
     n = m.size // 2
-    return LinearVectorField(n, MatF._of(ad_matrix(m, n)))
+    return LinearVectorField(n, ad_matrix(m, n))
 
 
 class OscVector(_Terms):

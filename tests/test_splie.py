@@ -263,9 +263,8 @@ def test_trusted_results_equal_checked_construction():
                                for row in out.entries)
                     assert all(type(v) is FieldScalar
                                for row in out.entries for v in row)
-                    assert out._nonzero_rows() == tuple(
-                        tuple((j, out[i, j]) for j in range(size) if out[i, j])
-                        for i in range(size))
+                    stored = ({j: v for j, v in enumerate(row) if v} for row in out.entries)
+                    assert out.rows == {i: row for i, row in enumerate(stored) if row}
         # +, - and scale keep the partner of a zero operand; on zero-heavy
         # operands they must still equal the entrywise sums
         zero = MatF.zero(size)
@@ -281,6 +280,72 @@ def test_trusted_results_equal_checked_construction():
             for k, kf in ((0, ZERO), (ZERO, ZERO), (c, c), (1, ONE)):
                 naive = MatF([[kf * v for v in row] for row in x.entries])
                 assert x.scale(k) == naive and hash(x.scale(k)) == hash(naive)
+
+
+def assert_stored_as_support(m):
+    """Rows hold nonzero entries only, no row is empty, and rows and columns
+    run in increasing order."""
+    assert list(m.rows) == sorted(m.rows)
+    for row in m.rows.values():
+        assert row and list(row) == sorted(row) and all(row.values())
+
+
+def stored_terms(m):
+    """The stored entries in order, a polynomial as its list of terms."""
+    return [list(v.terms.items()) if isinstance(v, MultiPoly) else v
+            for row in m.rows.values() for v in row.values()]
+
+
+def test_equal_matrices_by_any_route_compare_and_hash_equal():
+    rng = random.Random(509)
+    size = 4
+    unit = MatF.unit(size, 0, 3, 2)
+    routes = {
+        # a dense MatF with explicit zeros
+        "dense": (MatF([[0, 0, 0, 2], [0] * 4, [0] * 4, [0] * 4]), unit),
+        # a sum that cancels an entry, and a whole row
+        "cancel": (unit + MatF.unit(size, 1, 1, 5) - MatF.unit(size, 1, 1, 5), unit),
+        "a - a": (unit - unit, MatF.zero(size)),
+        "scale 0": (unit.scale(0), MatF.zero(size)),
+    }
+    for n in (1, 2, 3):
+        a = rand_sp(rng, n)
+        b = MatF([[rand_scalar(rng) if rng.random() < 0.3 else 0 for _ in range(2 * n)]
+                  for _ in range(2 * n)])
+        routes[f"a - a, n={n}"] = (a - a, MatF.zero(2 * n))
+        routes[f"double transpose, n={n}"] = (b.transpose().transpose(), b)
+        routes[f"b + a - b, n={n}"] = (b + a - b, a)
+        routes[f"(a @ b)^T, n={n}"] = ((a @ b).transpose(), b.transpose() @ a.transpose())
+        # polynomial entries that cancel
+        registry = full_registry(n)
+        x, y = _generic(registry, 0, n), _generic(registry, sp_dim(n), n)
+        routes[f"x + y - x, n={n}"] = (x + y - x, y)
+        routes[f"[x, y] + [y, x], n={n}"] = (bracket(x, y) + bracket(y, x), MatF.zero(2 * n))
+    for name, (got, want) in routes.items():
+        assert got == want and hash(got) == hash(want), name
+        assert got.rows == want.rows and list(got.rows) == list(want.rows), name
+        assert_stored_as_support(got)
+        assert got.is_zero() is (not got.rows) is want.is_zero(), name
+        # equal polynomial entries hold equal terms in equal order
+        assert stored_terms(got) == stored_terms(want), name
+    assert MatF.zero(size).rows == {} and MatF.zero(size).entries == ((ZERO,) * size,) * size
+
+
+def test_is_sp_refuses_an_entry_without_its_partner():
+    # n = 2, blocks ((A, B), (C, D)): the partner of (p, q) is (s(q), s(p)),
+    # s swapping the halves of V, negated in A and D and equal in B and C
+    size = 4
+    for (i, j), partner, sign in (((0, 1), (3, 2), -1), ((1, 1), (3, 3), -1),
+                                  ((3, 2), (0, 1), -1), ((0, 3), (1, 2), 1),
+                                  ((2, 1), (3, 0), 1), ((3, 0), (2, 1), 1)):
+        lone = MatF.unit(size, i, j)
+        assert not is_sp(lone), (i, j)
+        assert is_sp(lone + MatF.unit(size, *partner, sign)), (i, j)
+        assert not is_sp(lone + MatF.unit(size, *partner, -sign)), (i, j)
+        assert not is_sp(lone + MatF.unit(size, *partner, 2 * sign)), (i, j)
+    # a diagonal entry of B or C is its own partner
+    for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        assert is_sp(MatF.unit(size, i, j))
 
 
 def test_is_sp_matches_the_j_matrix_definition():

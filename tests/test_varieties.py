@@ -116,12 +116,19 @@ def test_ideal_generator_census():
         ideal_generators("Q", 1)
 
 
+def poly_mat(rows):
+    """MatF of dense rows with MultiPoly entries, through the trusted
+    constructor, which takes the nonzero entries by row and column."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return MatF._of(len(rows), {i: row for i, row in enumerate(rows) if row})
+
+
 def entrywise_generic(registry, offset, n):
     """Generic sp(2n) matrix built entry by entry: entry (i, j) is the
     linear form over every basis element's (i, j) entry."""
     basis = sp_basis(n)
     size = 2 * n
-    return MatF._of([MultiPoly.linear(registry, {offset + k: b.entries[i][j]
+    return poly_mat([MultiPoly.linear(registry, {offset + k: b.entries[i][j]
                                                  for k, b in enumerate(basis)})
                      for j in range(size)] for i in range(size))
 
@@ -131,7 +138,7 @@ def raw_square_of_variables(registry, offset, n):
     size = 2 * n
     u = [MultiPoly.variable(registry, offset + a) for a in range(size)]
     vtj = [-u[n + j] for j in range(n)] + [u[j] for j in range(n)]
-    return MatF._of([u[i] * vtj[j] for j in range(size)] for i in range(size))
+    return poly_mat([u[i] * vtj[j] for j in range(size)] for i in range(size))
 
 
 def test_generic_matrix_matches_the_entrywise_linear_forms():
@@ -590,12 +597,12 @@ def test_odd_traces_vanish_exactly_with_odd_char_coeffs():
         cases.append((registry, _generic(registry, 0, n), True))
     for size in (2, 4):
         registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
-        cases.append((registry, MatF._of(generic_rows(registry, size)), False))
+        cases.append((registry, poly_mat(generic_rows(registry, size)), False))
     for n, (i, j) in ((1, (0, 0)), (2, (0, 1)), (2, (0, 3)), (3, (1, 0))):
         registry = tuple(f"y{k}" for k in range(sp_dim(n)))
         rows = [list(row) for row in _generic(registry, 0, n).entries]
         rows[i][j] = rows[i][j] + MultiPoly.constant(registry, 1)
-        cases.append((registry, MatF._of(rows), False))
+        cases.append((registry, poly_mat(rows), False))
     for registry, m, expected in cases:
         es = _char_coeffs(m, registry, m.size)
         odd_zero = all(e.is_zero() for e in es[0::2])
@@ -640,7 +647,7 @@ def test_char_coeffs_match_all_powers_oracle():
     for size in range(1, 5):
         registry = tuple(f"m{i}{j}" for i in range(size) for j in range(size))
         rows = generic_rows(registry, size)
-        assert (_char_coeffs(MatF._of(rows), registry, size)
+        assert (_char_coeffs(poly_mat(rows), registry, size)
                 == all_powers_char_coeffs(rows, registry, size))
     for n in (1, 2):
         registry = tuple(f"y{k}" for k in range(sp_dim(n)))

@@ -272,10 +272,9 @@ def test_term_classes_share_one_vector_space_contract():
             with pytest.raises(ValueError):
                 make(key)
         assert make(next(iter(a.terms))).is_zero()
-    # entry [0][1] of x @ y is the scalar 0 seeding the sum, of y @ x is b * a
-    z = MultiPoly.zero(("a", "b"))
+    # x @ y has no entries, and entry [0][1] of y @ x is b * a
     a, b = (MultiPoly.variable(("a", "b"), i) for i in (0, 1))
-    commutator = bracket(MatF._of([[z, a], [z, z]]), MatF._of([[b, z], [z, z]]))
+    commutator = bracket(MatF._of(2, {0: {1: a}}), MatF._of(2, {0: {0: b}}))
     assert commutator.entries[0][1] == -(b * a)
 
 
@@ -291,6 +290,26 @@ def test_field_commutator_matches_dense_sums():
             assert LinearVectorField(n, a).commutator(LinearVectorField(n, b)).mat == MatF(want)
 
 
+def apply_field(field, p):
+    """The linear vector field acting as a derivation on a polynomial in the
+    sp coordinate registry: coordinate k goes to the linear form of column k
+    of field.mat."""
+    from spnil.poly import MultiPoly
+
+    size = field.mat.size
+    if len(p.registry) != size:
+        raise ValueError("registry does not match sp dimension")
+    out = MultiPoly.zero(p.registry)
+    for k in range(size):
+        dk = p.partial(k)
+        if dk.is_zero():
+            continue
+        image = MultiPoly.linear(p.registry,
+                                 {l: row[k] for l, row in enumerate(field.mat.entries)})
+        out = out + dk * image
+    return out
+
+
 def test_theta0_moves_root_coordinates_by_their_weight():
     from spnil.poly import MultiPoly
 
@@ -302,12 +321,12 @@ def test_theta0_moves_root_coordinates_by_their_weight():
     ve = MultiPoly.variable(reg, 1)
     vf = MultiPoly.variable(reg, 2)
     vh = MultiPoly.variable(reg, 0)
-    assert field.apply(ve) == ve.scale(fs(2))
-    assert field.apply(vf) == vf.scale(fs(-2))
-    assert field.apply(vh).is_zero()
+    assert apply_field(field, ve) == ve.scale(fs(2))
+    assert apply_field(field, vf) == vf.scale(fs(-2))
+    assert apply_field(field, vh).is_zero()
     # derivation property on a product
     p = ve * vf + vh * vh
-    assert field.apply(p).is_zero()
+    assert apply_field(field, p).is_zero()
 
 
 def test_osc_vector_validation_and_vacuum():
