@@ -288,6 +288,10 @@ def test_algebra_reports_off_the_goldens_keep_their_bytes():
             "bf5038cc71925c4e0f0de81d3099d952547cda1215ba17e5b12bcc2fa2ec2dd4",
         "verify minors -n 4":
             "b5f9c844fb54e16e991d2345f86c7bb88299701f6d114000c0d4d01c45c3d541",
+        "verify weyl -n 4":
+            "0eea1f8460ad4a9c09cc9af12a51f91dd91880a35491c2c61213687beb246c7d",
+        "verify theta1-hom -n 3":
+            "26bdb0ac4a55871ae509329e9ae54636d4f6fea92eb3f32c2e007ec7a7b3ae9e",
     }
     for args, digest in pinned.items():
         code, out, _ = run(args.split())
