@@ -8,7 +8,7 @@ operators for the hyperoctahedral group.
 """
 
 from .field import FieldScalar, fs
-from .poly import MultiPoly, divide_by_linear, monomials, count_monomials
+from .poly import MultiPoly, monomials, count_monomials
 from .linalg import truncated_ideal_dim, sparse_rank
 from .splie import (
     MatF,

@@ -183,23 +183,25 @@ def dunkl_apply(direction, p, params):
 
 @lru_cache(maxsize=None)
 def _hc_terms(n, x_idx, y_idx, params):
-    """(s_a, c(a) <a, y> <x, a^dual>) over the positive roots a with <a, y>
+    """(s_a, -c(a) <a, y> <x, a^dual>) over the positive roots a with <a, y>
     and <x, a> nonzero, where <x, a^dual> = 2 <x, a> / (a, a)."""
     return tuple(
-        (s_a, params.value(root) * root.coeffs[y_idx]
-         * (FieldScalar(2) * root.coeffs[x_idx] / RootDatumC.pairing(root, root)))
+        (s_a, -(params.value(root) * root.coeffs[y_idx]
+                * (FieldScalar(2) * root.coeffs[x_idx] / RootDatumC.pairing(root, root))))
         for root, s_a in _reflections(n)
         if root.coeffs[y_idx] and root.coeffs[x_idx])
 
 
 def check_hc_relation(x_idx, y_idx, p, params):
-    """[T_y, t_x] = <x, y> - sum_a c(a) <a, y> <x, a^dual> s_a, applied to p."""
+    """[T_y, t_x] = <x, y> - sum_a c(a) <a, y> <x, a^dual> s_a, applied to p.
+    The right-hand side is summed over all roots in one dict."""
     x_poly = MultiPoly.variable(p.registry, x_idx)
     lhs = dunkl_apply(y_idx, x_poly * p, params) - x_poly * dunkl_apply(y_idx, p, params)
-    rhs = p if x_idx == y_idx else MultiPoly.zero(p.registry)
-    for s_a, coeff in _hc_terms(len(p.registry), x_idx, y_idx, params):
-        rhs = rhs - w_act(s_a, p).scale(coeff)
-    return lhs == rhs
+    rhs = _add_terms(dict(p.terms) if x_idx == y_idx else {}, (
+        (key, coeff * c)
+        for s_a, coeff in _hc_terms(len(p.registry), x_idx, y_idx, params)
+        for key, c in w_act(s_a, p).terms.items()))
+    return lhs.terms == rhs
 
 
 def dunkl_commute(i_idx, j_idx, p, params):

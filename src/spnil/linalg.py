@@ -16,10 +16,11 @@ A row with a sqrt2 part is split into its rational and sqrt2 parts, beside
 its sqrt2 multiple.
 """
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .field import FieldScalar
-from .poly import _int_pairs, _pack, monomials
+from .poly import _int_pairs, _pack, _unpack
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
@@ -183,6 +184,13 @@ def sparse_rank(rows):
     return _int_rank({key: p for key, p, _ in _int_pairs(row)[1]} for row in rows)
 
 
+def _packed_monomials(nvars, degree):
+    """The packs of monomials(nvars, degree), in its order: the sums of the
+    packed variables over combinations_with_replacement."""
+    variables = [_pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+    return [sum(c) for c in combinations_with_replacement(variables, degree)]
+
+
 def truncated_ideal_dim(gens, d, multiplier_filter=None):
     """Dimension of the degree-d slice of the ideal generated by gens.
 
@@ -193,7 +201,10 @@ def truncated_ideal_dim(gens, d, multiplier_filter=None):
 
     Each row is keyed by packed monomials: the key of a term of g*m is the
     sum of the packs of its two exponent tuples.  Packed order is tuple order,
-    so sparse_rank picks the pivots that tuple keys would give.
+    so sparse_rank picks the pivots that tuple keys would give.  The
+    multipliers of each degree are built once and packed, by
+    _packed_monomials in the order of monomials(); only multiplier_filter
+    sees them unpacked.
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -201,6 +212,7 @@ def truncated_ideal_dim(gens, d, multiplier_filter=None):
         return 0
     registry = gens[0].registry
     nvars = len(registry)
+    multipliers = {}
     rows = []
     for g in gens:
         if g.registry != registry:
@@ -212,10 +224,10 @@ def truncated_ideal_dim(gens, d, multiplier_filter=None):
         dg = g.total_degree()
         if dg > d:
             continue
-        packed = [(_pack(gexp), c) for gexp, c in g.terms.items()]
-        for mexp in monomials(nvars, d - dg):
-            if multiplier_filter is not None and not multiplier_filter(mexp):
-                continue
-            m = _pack(mexp)
-            rows.append({key + m: c for key, c in packed})
+        if d - dg not in multipliers:
+            multipliers[d - dg] = [m for m in _packed_monomials(nvars, d - dg)
+                                   if multiplier_filter is None
+                                   or multiplier_filter(_unpack(m, nvars))]
+        terms = [(_pack(gexp), c) for gexp, c in g.terms.items()]
+        rows += ({key + m: c for key, c in terms} for m in multipliers[d - dg])
     return sparse_rank(rows)

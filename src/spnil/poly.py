@@ -10,13 +10,18 @@ A polynomial carries an immutable variable registry (a tuple of names) and
 keys its terms by dense exponent tuples (length = registry size).  Monomial
 comparisons use graded lexicographic order: compare total degree first, then
 the exponent tuple lexicographically.
+
+The symbolic products that sum many terms (the Weyl product, the polynomial
+trace pairing) run on packed monomial keys and integer coefficients:
+_part_products multiplies the rational and sqrt2 integer parts of two
+operands and _scalars turns the integer sums back into coefficients.
 """
 
 import struct
 from math import lcm
 from operator import add
 
-from .field import FieldScalar, ONE, _scalar
+from .field import FieldScalar, ONE, _scalar, _whole
 
 _ZERO = FieldScalar(0)
 
@@ -59,6 +64,39 @@ def _int_pairs(terms):
     and the list of (key, p, q) with coefficient (p + q*sqrt2)/d."""
     d = lcm(*[c.den for c in terms.values()])
     return d, [(key, c.an * (d // c.den), c.bn * (d // c.den)) for key, c in terms.items()]
+
+
+def _part_products(left, right, product):
+    """The integer sums of the rational and sqrt2 parts of a product whose
+    operands are given as their (rational, sqrt2) integer parts: with
+    a = a0 + a1*sqrt2 and b = b0 + b1*sqrt2, ab = (a0 b0 + 2 a1 b1) +
+    (a0 b1 + a1 b0)*sqrt2.  product(acc, x, y, factor) adds factor times the
+    product of the parts x and y into acc, a dict of ints keyed by packed
+    monomials; an empty part is skipped, so rational operands take one call."""
+    (a0, a1), (b0, b1) = left, right
+    rational, root2 = {}, {}
+    for acc, x, y, factor in ((rational, a0, b0, 1), (rational, a1, b1, 2),
+                              (root2, a0, b1, 1), (root2, a1, b0, 1)):
+        if x and y:
+            product(acc, x, y, factor)
+    return rational, root2
+
+
+def _scalars(rational, root2, den, unpack, width):
+    """{unpack(key, width): (p + q*sqrt2)/den} over the packed keys whose
+    integer sums p in rational and q in root2 are not both zero, each
+    coefficient normalised once; over den = 1 there is nothing to normalise."""
+    if den == 1:
+        scalar = _whole
+    else:
+        def scalar(p, q):
+            return FieldScalar._raw(p, q, den)
+    out = {unpack(key, width): scalar(p, root2.get(key, 0))
+           for key, p in rational.items() if p or root2.get(key)}
+    for key, q in root2.items():
+        if q and key not in rational:
+            out[unpack(key, width)] = scalar(0, q)
+    return out
 
 
 class _Terms:
@@ -189,13 +227,6 @@ class MultiPoly(_Terms):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex largest term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
-
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), _ZERO)
 
@@ -306,30 +337,3 @@ def count_monomials(nvars, degree):
 
     return comb(nvars + degree - 1, degree)
 
-
-def divide_by_linear(p, l):
-    """Exact quotient p / l for homogeneous linear l; raises if not divisible."""
-    if l.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if l.total_degree() != 1 or not l.is_homogeneous():
-        raise ValueError("divisor must be homogeneous linear")
-    if p.registry != l.registry:
-        raise ValueError("registry mismatch")
-    piv_exp, piv_coef = l.leading()
-    piv = piv_exp.index(1)
-    inv = piv_coef.inverse()
-    quot = {}
-    rem = dict(p.terms)
-    while rem:
-        exp = max(rem, key=grlex_key)
-        if exp[piv] == 0:
-            raise ValueError("polynomial is not divisible by the given linear form")
-        c = rem[exp] * inv
-        qexp = list(exp)
-        qexp[piv] -= 1
-        qexp = tuple(qexp)
-        # exp leads rem and is the leading term of qexp * l, so subtracting
-        # c * qexp * l lowers the lead of rem: each qexp comes up once
-        quot[qexp] = c
-        _add_terms(rem, ((tuple(map(add, qexp, lexp)), -c * lc) for lexp, lc in l.terms.items()))
-    return MultiPoly._of(p.registry, quot)

@@ -8,10 +8,11 @@ B, C symmetric.  The invariant pairing is the trace form Tr(ab).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from .field import FieldScalar, SQRT2, _scalar
-from .poly import MultiPoly, _add_terms
+from .poly import MultiPoly, _add_terms, _pack, _part_products, _scalars, _unpack
 from . import linalg
 
 _ZERO = FieldScalar(0)
@@ -216,6 +217,61 @@ def trace_pair(a, b):
             if w is not None:
                 total = total + v * w
     return total
+
+
+def poly_trace_pair(a, b):
+    """trace_pair of two matrices whose entries are MultiPolys of one
+    registry, on one packed integer accumulator.
+
+    Each matrix is cleared once to a common denominator and split into its
+    rational and sqrt2 parts, each entry packed as a list of (packed
+    exponent, integer), so the products a_ij b_ji of the whole sum add single
+    ints per packed key and each coefficient of Tr(ab) is normalised once.
+    As in trace_pair, the sum is the scalar 0 when no a_ij meets a b_ji.
+    """
+    a._check(b)
+    registries = {v.registry for m in (a, b) for row in m.rows.values() for v in row.values()}
+    if len(registries) > 1:
+        raise ValueError("registry mismatch")
+    da, left = _packed_parts(a)
+    db, right = _packed_parts(b)
+    rational, root2 = _part_products(left, right, _trace_product)
+    if not (rational or root2):
+        return _ZERO
+    (registry,) = registries
+    return MultiPoly._of(registry, _scalars(rational, root2, da * db, _unpack, len(registry)))
+
+
+def _packed_parts(m):
+    """The MultiPoly entries of m over one common denominator d: d and the
+    rational and sqrt2 parts, each {i: {j: [(packed exponent, integer)]}}
+    over the entries with a nonzero such part."""
+    d = lcm(*[c.den for row in m.rows.values() for v in row.values() for c in v.terms.values()])
+    parts = ({}, {})
+    for i, row in m.rows.items():
+        for j, v in row.items():
+            for e, c in v.terms.items():
+                key, s = _pack(e), d // c.den
+                for part, x in zip(parts, (c.an, c.bn)):
+                    if x:
+                        part.setdefault(i, {}).setdefault(j, []).append((key, x * s))
+    return d, parts
+
+
+def _trace_product(acc, a, b, factor):
+    """Add factor times the trace pairing of two integer parts of
+    _packed_parts into acc, keyed by packed monomials."""
+    get = acc.get
+    for i, row in a.items():
+        for j, terms in row.items():
+            other = b.get(j, _NO_ROW).get(i)
+            if other:
+                for ka, p in terms:
+                    p *= factor
+                    for kb, q in other:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + p * q
+    return acc
 
 
 def raw_square(v):

@@ -26,6 +26,7 @@ from .splie import (
     is_nilpotent,
     mat_from_coords,
     omega,
+    poly_trace_pair,
     raw_square,
     sp_basis,
     sp_dim,
@@ -137,7 +138,7 @@ def ideal_generators(kind, n):
         return _minors2(_generic(registry, 0, n))
     if kind == "NIL":
         registry = tuple(f"y{k}" for k in range(nn))
-        return [trace_pair(p, p) for p in _powers(_generic(registry, 0, n), n)]
+        return [poly_trace_pair(p, p) for p in _powers(_generic(registry, 0, n), n)]
     raise ValueError(f"unknown ideal kind: {kind}")
 
 
@@ -154,7 +155,7 @@ def _odd_traces_vanish(m):
     if m.trace():
         return False
     powers = _powers(m, (m.size + 1) // 2)
-    return not any(trace_pair(higher, power)
+    return not any(poly_trace_pair(higher, power)
                    for power, higher in zip(powers, powers[1:]))
 
 

@@ -12,10 +12,10 @@ add their key rules and their products to it.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .field import FieldScalar, ONE, HALF
-from .poly import MultiPoly, _Terms, _add_terms, _int_pairs, _pack, _unpack
+from .poly import MultiPoly, _Terms, _add_terms, _pack, _part_products, _scalars, _unpack
 from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
@@ -43,6 +43,49 @@ def _exchange(b, c):
             for k, wk in opts
         ]
     return tuple((_pack(xs + ys), w) for xs, ys, w in partial)
+
+
+@lru_cache(maxsize=None)
+def _halves(key):
+    """The packs of x^a and of y^b for the term key (a, b), as digits of the
+    2n-digit pack of a + b: a above the n low digits, and b."""
+    a, b = key
+    return _pack(a) << 32 * len(a), _pack(b)
+
+
+def _grouped(terms, side):
+    """The coefficients of the terms of a Weyl element cleared to one common
+    denominator d: d and the rational and sqrt2 integer parts, each a dict
+    from the exponent tuple key[side] of a term key to the list of (packed
+    other half, integer) of its terms.  Side 1 groups a left operand by
+    y-exponent, side 0 a right operand by x-exponent."""
+    d = lcm(*[c.den for c in terms.values()])
+    rational, root2 = {}, {}
+    for key, c in terms.items():
+        group, half, s = key[side], _halves(key)[1 - side], d // c.den
+        if c.an:
+            rational.setdefault(group, []).append((half, c.an * s))
+        if c.bn:
+            root2.setdefault(group, []).append((half, c.bn * s))
+    return d, (rational, root2)
+
+
+def _exchange_product(acc, left, right, factor):
+    """Add factor times the product of two integer parts of _grouped into
+    acc: the left terms x^a y^b with y-exponent b and the right terms x^c y^d
+    with x-exponent c meet through the terms of _exchange(b, c)."""
+    get = acc.get
+    for b, lterms in left.items():
+        for c, rterms in right.items():
+            for key, w in _exchange(b, c):
+                w *= factor
+                for xa, p in lterms:
+                    mid = key + xa
+                    p *= w
+                    for yd, q in rterms:
+                        k = mid + yd
+                        acc[k] = get(k, 0) + p * q
+    return acc
 
 
 class WeylElement(_Terms):
@@ -97,36 +140,22 @@ class WeylElement(_Terms):
     def __mul__(self, other):
         """Normal-ordered product via y^b x^c = sum_k k! C(b,k) C(c,k) x^(c-k) y^(b-k).
 
-        Coefficients are cleared to integer pairs over one denominator per
-        operand and monomials are packed into ints, so the sums run on Python
-        ints and each output coefficient is normalised once."""
+        A left term x^a y^b meets a right term x^c y^d only through the
+        exchange of y^b past x^c, so the left terms are grouped by b, the
+        right ones by c, and _exchange(b, c) is looked up once per pair of
+        groups.  Coefficients are cleared to integers over one denominator
+        per operand and split into rational and sqrt2 parts, and monomials
+        are packed into ints, so each product of parts sums single Python
+        ints per packed key (rational operands make one such product) and
+        each output coefficient is normalised once."""
         if not isinstance(other, WeylElement):
             c = FieldScalar._coerce(other)
             return NotImplemented if c is None else self.scale(c)
         self._check(other)
-        n = self.n
-        d1, left = _int_pairs(self.terms)
-        d2, right = _int_pairs(other.terms)
-        z = (0,) * n
-        right = [(cc, _pack(z + d), p2, q2) for (cc, d), p2, q2 in right]
-        acc = {}
-        for (a, b), p1, q1 in left:
-            xa = _pack(a + z)
-            for cc, yd, p2, q2 in right:
-                p = p1 * p2 + 2 * q1 * q2
-                q = p1 * q2 + q1 * p2
-                base = xa + yd
-                for key, w in _exchange(b, cc):
-                    key += base
-                    s = acc.get(key)
-                    if s is None:
-                        acc[key] = [p * w, q * w]
-                    else:
-                        s[0] += p * w
-                        s[1] += q * w
-        den = d1 * d2
-        return WeylElement._of(n, {_monomial(key, n): FieldScalar._raw(p, q, den)
-                                   for key, (p, q) in acc.items() if p or q})
+        d1, left = _grouped(self.terms, 1)
+        d2, right = _grouped(other.terms, 0)
+        rational, root2 = _part_products(left, right, _exchange_product)
+        return WeylElement._of(self.n, _scalars(rational, root2, d1 * d2, _monomial, self.n))
 
     __rmul__ = __mul__
 

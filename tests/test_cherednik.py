@@ -4,8 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from spnil import cherednik
 from spnil.field import FieldScalar, HALF, fs
-from spnil.poly import MultiPoly, divide_by_linear, monomials
+from spnil.poly import MultiPoly, monomials
 from spnil.splie import RootDatumC
 from spnil.weylosc import weight_zero_scalar
 from spnil.cherednik import (
@@ -23,6 +24,7 @@ from spnil.cherednik import (
     reflection,
     w_act,
 )
+from test_poly import divide_by_linear
 
 
 def rand_params(rng):
@@ -214,6 +216,17 @@ def test_degenerate_affine_relation():
                         assert check_hc_relation(x_idx, y_idx, p, SINGULAR)
                         assert check_hc_relation(x_idx, y_idx, p,
                                                  rand_params(rng))
+
+
+def test_hc_relation_reads_its_reflection_terms(monkeypatch):
+    # with the sum over roots dropped, [T_y, t_x] = <x, y> no longer holds
+    reg = h_registry(2)
+    p = monomial(reg, (2, 1))
+    assert all(check_hc_relation(x_idx, y_idx, p, SINGULAR)
+               for x_idx in range(2) for y_idx in range(2))
+    monkeypatch.setattr(cherednik, "_hc_terms", lambda *args: ())
+    assert not all(check_hc_relation(x_idx, y_idx, p, SINGULAR)
+                   for x_idx in range(2) for y_idx in range(2))
 
 
 def test_build_Lc_structure():

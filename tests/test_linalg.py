@@ -7,6 +7,7 @@ import pytest
 
 from spnil.field import FieldScalar, ONE, SQRT2, fs
 from spnil.linalg import (
+    _packed_monomials,
     _rref,
     inverse,
     nullspace,
@@ -16,7 +17,7 @@ from spnil.linalg import (
     truncated_ideal_dim,
 )
 from spnil.orbits import nilpotent_rep, partitions_spn
-from spnil.poly import MultiPoly, count_monomials, monomials
+from spnil.poly import MultiPoly, _unpack, count_monomials, monomials
 from spnil.splie import ad_matrix, bracket, coords_of, raw_square, sp_basis, sp_dim
 from spnil.varieties import ideal_generators, positive_weight_space, sample_xnil_point
 
@@ -352,6 +353,14 @@ def test_truncated_ideal_dim_multiplier_filter():
     # multipliers of degree 2 passing the filter: a^2 and b^2 only
     assert truncated_ideal_dim([a * b], 4, multiplier_filter=even) == 2
     assert truncated_ideal_dim([a * b], 3, multiplier_filter=even) == 0
+
+
+def test_packed_multipliers_come_in_the_order_of_monomials():
+    # the rows of truncated_ideal_dim keep the order monomials() gave them
+    for nvars in (1, 2, 3, 5, 9):
+        for degree in range(6):
+            packed = _packed_monomials(nvars, degree)
+            assert [_unpack(m, nvars) for m in packed] == list(monomials(nvars, degree))
 
 
 def tuple_keyed_ideal_dim(gens, d, multiplier_filter=None):

@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from spnil.field import FieldScalar, ONE, fs
-from spnil.poly import (MultiPoly, _add_terms, _pack, _unpack, count_monomials, divide_by_linear,
-                        monomials)
+from spnil.poly import MultiPoly, _add_terms, _pack, _unpack, count_monomials, grlex_key, monomials
 
 REG = ("a", "b", "c")
 
@@ -73,6 +73,35 @@ def test_total_degree_and_homogeneity():
     assert p.total_degree() == 3
     assert p.is_homogeneous()
     assert not (p + a).is_homogeneous()
+
+
+def divide_by_linear(p, l):
+    """Exact quotient p / l for homogeneous linear l; raises if not divisible.
+    The oracle of the per-root Dunkl sums in test_cherednik."""
+    if l.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if l.total_degree() != 1 or not l.is_homogeneous():
+        raise ValueError("divisor must be homogeneous linear")
+    if p.registry != l.registry:
+        raise ValueError("registry mismatch")
+    piv_exp = max(l.terms, key=grlex_key)
+    piv = piv_exp.index(1)
+    inv = l.terms[piv_exp].inverse()
+    quot = {}
+    rem = dict(p.terms)
+    while rem:
+        exp = max(rem, key=grlex_key)
+        if exp[piv] == 0:
+            raise ValueError("polynomial is not divisible by the given linear form")
+        c = rem[exp] * inv
+        qexp = list(exp)
+        qexp[piv] -= 1
+        qexp = tuple(qexp)
+        # exp leads rem and is the leading term of qexp * l, so subtracting
+        # c * qexp * l lowers the lead of rem: each qexp comes up once
+        quot[qexp] = c
+        _add_terms(rem, ((tuple(map(add, qexp, lexp)), -c * lc) for lexp, lc in l.terms.items()))
+    return MultiPoly._of(p.registry, quot)
 
 
 def test_divide_by_linear_recovers_factor():

@@ -2,6 +2,7 @@
 the half-dimensional stratum frame, the linear embedding, Hilbert rows."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from spnil.splie import (
     is_nilpotent,
     mat_from_coords,
     omega,
+    poly_trace_pair,
     raw_square,
     sp_basis,
     sp_dim,
@@ -36,6 +38,7 @@ from spnil.varieties import (
     SchemePoint,
     _generic,
     _isotropic,
+    _powers,
     _rep_and_positive_slots,
     _odd_traces_vanish,
     _stratum_frame,
@@ -608,6 +611,49 @@ def test_odd_traces_vanish_exactly_with_odd_char_coeffs():
         odd_zero = all(e.is_zero() for e in es[0::2])
         assert odd_zero == expected
         assert _odd_traces_vanish(m) == odd_zero
+
+
+def rand_poly_mat(rng, registry, size):
+    """A size x size MatF of random MultiPolys with fraction and sqrt2
+    coefficients, a quarter of the entries zero."""
+    def entry():
+        terms = {tuple(rng.randint(0, 2) for _ in registry):
+                 fs(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * rng.randint(0, 1))
+                 for _ in range(rng.randint(1, 3))}
+        return MultiPoly(registry, terms) if rng.random() > 0.25 else MultiPoly.zero(registry)
+    return poly_mat([[entry() for _ in range(size)] for _ in range(size)])
+
+
+def test_packed_trace_pairing_matches_the_per_term_pairing():
+    # trace_pair sums a_ij b_ji term by term in FieldScalars; the packed
+    # pairing must give the same polynomial, on nonzero pairings too
+    for n in (1, 2, 3):
+        registry = tuple(f"y{k}" for k in range(sp_dim(n)))
+        powers = _powers(_generic(registry, 0, n), n)
+        # the NIL generators tr(y^2k) and every odd trace pairing
+        assert ideal_generators("NIL", n) == [trace_pair(p, p) for p in powers]
+        for a, b in itertools.product(powers, repeat=2):
+            assert poly_trace_pair(a, b) == trace_pair(a, b)
+    rng = random.Random(643)
+    registry = ("a", "b", "c")
+    for size in (1, 2, 3, 4):
+        mats = [rand_poly_mat(rng, registry, size) for _ in range(3)]
+        mats.append(mats[0] @ mats[1])
+        for a, b in itertools.product(mats, repeat=2):
+            want = trace_pair(a, b)
+            got = poly_trace_pair(a, b)
+            assert type(got) is type(want) and got == want
+            if want:
+                assert all(type(c) is FieldScalar and c for c in got.terms.values())
+    # nothing pairs: the scalar 0, as trace_pair gives
+    x = MultiPoly.variable(registry, 0)
+    upper = poly_mat([[ZERO, x], [ZERO, ZERO]])
+    for a, b in ((upper, upper), (upper, MatF.zero(2)), (MatF.zero(2), upper)):
+        got = poly_trace_pair(a, b)
+        assert type(got) is FieldScalar and not got
+    with pytest.raises(ValueError, match="registry"):
+        poly_trace_pair(upper, poly_mat([[ZERO, ZERO], [MultiPoly.variable(("z",), 0), ZERO]]))
 
 
 def all_powers_char_coeffs(m, registry, size):

@@ -8,11 +8,14 @@ from math import comb, factorial
 import pytest
 
 from spnil.field import FieldScalar, HALF, ONE, fs
+from spnil.poly import _int_pairs, _pack
 from spnil.splie import MatF, RootDatumC, bracket, omega, raw_square, sp_basis, sp_dim
 from spnil.weylosc import (
     LinearVectorField,
     OscVector,
     WeylElement,
+    _exchange,
+    _monomial,
     classical_comoment,
     osc_apply,
     symmetrize_quadratic,
@@ -181,6 +184,76 @@ def test_integer_pair_product_stores_the_fieldscalar_sums():
             for j in range(n):
                 assert x[i].commutator(x[j]).terms == {}
                 assert y[i].commutator(y[j]).terms == {}
+
+
+def pairwise_product(p, q):
+    """p * q one pair of terms at a time: both operands cleared to integer
+    pairs over one denominator each, each pair of terms exchanging y^b past
+    x^c through its own _exchange lookup and adding [p, q] pairs on packed
+    keys.  The product before terms were grouped by exchange."""
+    n = p.n
+    d1, left = _int_pairs(p.terms)
+    d2, right = _int_pairs(q.terms)
+    z = (0,) * n
+    right = [(c, _pack(z + d), p2, q2) for (c, d), p2, q2 in right]
+    acc = {}
+    for (a, b), p1, q1 in left:
+        xa = _pack(a + z)
+        for c, yd, p2, q2 in right:
+            rp, rq = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
+            for key, w in _exchange(b, c):
+                s = acc.setdefault(key + xa + yd, [0, 0])
+                s[0] += rp * w
+                s[1] += rq * w
+    return WeylElement._of(n, {_monomial(key, n): FieldScalar._raw(rp, rq, d1 * d2)
+                               for key, (rp, rq) in acc.items() if rp or rq})
+
+
+def rand_weyl(rng, n, coefficient, terms=5, top=3):
+    """A sum of random monomials x^a y^b, exponents up to top."""
+    return WeylElement(n, {(tuple(rng.randint(0, top) for _ in range(n)),
+                            tuple(rng.randint(0, top) for _ in range(n))): coefficient(rng)
+                           for _ in range(terms)})
+
+
+def test_grouped_product_matches_the_pairwise_product():
+    rng = random.Random(617)
+    kinds = {
+        "rational": lambda r: fs(Fraction(r.randint(-9, 9), r.randint(1, 6))),
+        "root2": lambda r: fs(0, Fraction(r.randint(-9, 9), r.randint(1, 6))),
+        "mixed": rand_scalar,
+    }
+    for n in (1, 2, 3):
+        basis = sp_basis(n)
+        images = []
+        for _ in range(3):
+            m = MatF.zero(2 * n)
+            for b in basis:
+                m = m + b.scale(rand_scalar(rng))
+            images.append(theta1(m))
+        elements = {kind: [rand_weyl(rng, n, c) for _ in range(3)] for kind, c in kinds.items()}
+        # y^b of each left term overlaps x^c of each right term in every index
+        full = tuple([2] * n)
+        overlap = [WeylElement(n, {(full, full): fs(Fraction(1, 3), 1), ((0,) * n, full): 2}),
+                   WeylElement(n, {(full, (1,) * n): fs(0, Fraction(-1, 2)), (full, (0,) * n): 1})]
+        assert len(_exchange(full, full)) == 3 ** n
+        operands = images + overlap + [u for group in elements.values() for u in group]
+        pairs = [(u, v) for u in operands for v in operands]
+        pairs += [(u * v, w) for u, v, w in itertools.permutations(images, 3)]
+        for u, v in pairs:
+            uv = u * v
+            assert uv.terms == pairwise_product(u, v).terms
+            assert all(type(c) is FieldScalar and c for c in uv.terms.values())
+        # rational x rational, rational x sqrt2 and sqrt2 x sqrt2 products
+        # read only the parts they have
+        for left, right in itertools.product(elements, repeat=2):
+            for u, v in zip(elements[left], elements[right]):
+                uv = u * v
+                assert uv.terms == pairwise_product(u, v).terms
+                if left == right == "rational" or {left, right} == {"root2"}:
+                    assert all(c.bn == 0 for c in uv.terms.values())
+                if {left, right} == {"rational", "root2"}:
+                    assert all(c.an == 0 for c in uv.terms.values())
 
 
 def test_int_fraction_and_field_scalars_as_operands():
