@@ -13,7 +13,7 @@ equal to the all-roots form with a 1/2 prefactor because the a and -a
 summands agree.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,12 +23,10 @@ from .splie import RootDatumC
 from .weylosc import weight_zero_scalar
 
 
-@dataclass(frozen=True)
-class Params:
-    """Coupling constants, one for each root length."""
+class Params(namedtuple("Params", "c_long c_short")):
+    """Coupling constants, one for each root length: FieldScalars."""
 
-    c_long: FieldScalar
-    c_short: FieldScalar
+    __slots__ = ()
 
     @classmethod
     def of(cls, c_long, c_short):
@@ -41,12 +39,10 @@ class Params:
 SINGULAR = Params.of(Fraction(-1, 4), Fraction(-1, 2))
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """w sends t_i to signs[i] * t_perm[i]."""
+class SignedPerm(namedtuple("SignedPerm", "perm signs")):
+    """w sends t_i to signs[i] * t_perm[i]; perm and signs are tuples."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n):
@@ -210,15 +206,15 @@ def dunkl_commute(i_idx, j_idx, p, params):
     return ij == ji
 
 
-@dataclass(frozen=True)
-class FormalRadialOperator:
+class FormalRadialOperator(namedtuple("FormalRadialOperator", "coeffs")):
     """Laplacian minus a sum of coeff/alpha^2 over merged +-root pairs.
 
-    Coefficients are keyed by the positive representative's coordinate key;
-    zero coefficients are dropped, so equality is structural.
+    coeffs is the sorted tuple of (root key, FieldScalar), keyed by the
+    positive representative's coordinate key; zero coefficients are
+    dropped, so equality is structural.
     """
 
-    coeffs: tuple  # sorted tuple of (root key, FieldScalar)
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, coeff_dict):

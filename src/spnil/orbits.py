@@ -9,7 +9,7 @@ basis moves everything into the standard form J = ((0, I), (-I, 0)).
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import FieldScalar
 from . import linalg
@@ -113,11 +113,8 @@ def nilpotent_rep(lam):
     return e_std
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
-    e: MatF
-    f: MatF
-    h: MatF
+class Sl2Triple(namedtuple("Sl2Triple", "e f h")):
+    __slots__ = ()
 
 
 def sl2_complete(e):
@@ -166,13 +163,9 @@ def positive_slots(h):
     return tuple(i for i, row in h.rows.items() if i in row and row[i].sign() > 0)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    partition: tuple
-    orbit_dim: int
-    vplus_dim: int
-    xlambda_dim: int
-    is_component: bool
+class CensusRow(namedtuple("CensusRow",
+                           "partition orbit_dim vplus_dim xlambda_dim is_component")):
+    __slots__ = ()
 
 
 def census(n):
@@ -208,7 +201,8 @@ def verify_sl2_square_lemma(y, trials=20, seed=0):
     # x solves [y, x] = -raw_square(v) exactly when -x solves [y, x] = raw_square(v);
     # that is solvable exactly when its rhs, as column nn, keeps the rank of ad y
     nn = sp_dim(n)
-    rows = [{j: c for j, c in enumerate(row) if c} for row in ad_matrix(y, n)]
+    ad = ad_matrix(y, n).rows
+    rows = [ad.get(r, {}) for r in range(nn)]  # one per coordinate, to line up with rhs
     rank = linalg.sparse_rank(rows)
 
     def combo(slots, coeffs):

@@ -381,7 +381,7 @@ def mat_from_coords(coeffs, n):
 
 
 def ad_matrix(y, n):
-    """Matrix of x -> [y, x] on sp(2n) in the sp_basis coordinates.
+    """MatF of x -> [y, x] on sp(2n) in the sp_basis coordinates.
 
     Column b is coords_of([y, b]), with [y, b] built from the entries of y:
     [y, E_pq] is column p of y placed in column q, minus row q of y placed
@@ -391,8 +391,8 @@ def ad_matrix(y, n):
     if y.size != size:
         raise ValueError("size mismatch")
     by_row, by_col = y.rows, y.transpose().rows
-    cols = []
-    for b in sp_basis(n):
+    out = {}
+    for k, b in enumerate(sp_basis(n)):
         entries = {}
         for p, brow in b.rows.items():
             for q, v in brow.items():
@@ -401,16 +401,17 @@ def ad_matrix(y, n):
                                      for i, w in by_col.get(p, _NO_ROW).items()))
                 _add_terms(entries, (((p, j), -w if plus else w)
                                      for j, w in by_row.get(q, _NO_ROW).items()))
-        cols.append(coords_of(_of_entries(size, entries), n))
-    return [list(row) for row in zip(*cols)]
+        for r, c in enumerate(coords_of(_of_entries(size, entries), n)):
+            if c:
+                out[r, k] = c
+    return _of_entries(sp_dim(n), out)
 
 
 def centralizer_dim(y):
     """Dimension of the centralizer of y inside sp(2n)."""
     require_sp(y)
     n = y.size // 2
-    rows = [{j: c for j, c in enumerate(row) if c} for row in ad_matrix(y, n)]
-    return sp_dim(n) - linalg.sparse_rank(rows)
+    return sp_dim(n) - linalg.sparse_rank(ad_matrix(y, n).rows.values())
 
 
 def is_nilpotent(m):

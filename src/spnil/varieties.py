@@ -10,11 +10,11 @@ system are taken in closed form.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .field import FieldScalar, HALF
-from .poly import MultiPoly, count_monomials
+from .poly import MultiPoly, _int_pairs, count_monomials
 from . import linalg
 from .splie import (
     MatF,
@@ -38,16 +38,17 @@ from .orbits import nilpotent_rep, positive_slots, sl2_complete
 _ZERO = FieldScalar(0)
 
 
-@dataclass(frozen=True)
-class SchemePoint:
-    n: int
-    x: MatF
-    y: MatF
-    i: tuple
+class SchemePoint(namedtuple("SchemePoint", "n x y i")):
+    # no __slots__: the cached jacobian lives in the instance __dict__
 
-    def __post_init__(self):
+    def __new__(cls, n, x, y, i):
         # a tuple, so the cached jacobian cannot go stale through i
-        object.__setattr__(self, "i", tuple(self.i))
+        return super().__new__(cls, n, x, y, tuple(i))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would bypass __new__
+        return cls(*iterable)
 
     @cached_property
     def jacobian(self):
@@ -226,7 +227,7 @@ def sample_xnil_point(lam, seed=0):
         y = g @ y @ ginv
         vec = g.apply(vec)
 
-    sol, kernel = linalg.solution_space(ad_matrix(y, n), coords_of(raw_square(vec), n))
+    sol, kernel = linalg.solution_space(ad_matrix(y, n).entries, coords_of(raw_square(vec), n))
     if sol is None:
         raise RuntimeError("moment equation unexpectedly unsolvable")
     for z in kernel:
@@ -241,12 +242,8 @@ def sample_xnil_point(lam, seed=0):
     return point
 
 
-@dataclass(frozen=True)
-class TangentReport:
-    jacobian_rank: int
-    tangent_dim: int
-    isotropic: bool
-    smooth: bool
+class TangentReport(namedtuple("TangentReport", "jacobian_rank tangent_dim isotropic smooth")):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -292,29 +289,49 @@ def _trace_form(n):
     return tuple(form)
 
 
+def _cleared(vec):
+    """The nonzero entries of a flat vector as {position: (p, q)}, entry
+    (p + q sqrt2)/d over one common denominator d of the vector.  d is
+    dropped: _dot_vanishes only asks whether a dot product is zero."""
+    return {j: (p, q) for j, p, q in _int_pairs({j: c for j, c in enumerate(vec) if c})[1]}
+
+
+def _dot_vanishes(u, v):
+    """Whether the dot product of two _cleared vectors is zero: its rational
+    sum of p p' + 2 q q' and its sqrt2 sum of p q' + q p' over their common
+    support are both 0."""
+    rational = root2 = 0
+    for j, (p, q) in u.items():
+        if j in v:
+            s, t = v[j]
+            rational += p * s + 2 * q * t
+            root2 += p * t + q * s
+    return not (rational or root2)
+
+
 def _isotropic(vectors, n):
     """True when the form of _trace_form vanishes on every pair of the flat
     vectors.
 
-    Each vector w is mapped once to its image under that form, the sparse
-    vector with entry c w[q] at p and -c w[p] at q per entry (p, q, c); as
-    each coordinate lies in one entry, nothing is summed.  A pair (v, w) then
-    pairs to the dot product of v with the image of w, taken over their
-    common support.
+    Each vector w is mapped once to its image under that form, the vector
+    with entry c w[q] at p and -c w[p] at q per entry (p, q, c); as each
+    coordinate lies in one entry, nothing is summed.  A pair (v, w) then
+    pairs to the dot product of v with the image of w, with both cleared to
+    integers once.
     """
     form = _trace_form(n)
     images = []
     for w in vectors:
-        image = {}
+        image = [_ZERO] * len(w)
         for p, q, c in form:
             if w[q]:
                 image[p] = c * w[q]
             if w[p]:
                 image[q] = -(c * w[p])
-        images.append(image)
-    supports = [[(p, x) for p, x in enumerate(v) if x] for v in vectors]
-    return not any(
-        sum((x * images[b][p] for p, x in supports[a] if p in images[b]), _ZERO)
+        images.append(_cleared(image))
+    cleared = [_cleared(v) for v in vectors]
+    return all(
+        _dot_vanishes(cleared[a], images[b])
         for a in range(len(vectors))
         for b in range(a + 1, len(vectors))
     )
@@ -363,11 +380,8 @@ def positive_weight_space(y):
     raise ValueError("positive_weight_space needs a nilpotent y")
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    frame_rank: int
-    inside_kernel: bool
-    isotropic: bool
+class StratumReport(namedtuple("StratumReport", "frame_rank inside_kernel isotropic")):
+    __slots__ = ()
 
 
 def stratum_tangent_check(point):
@@ -385,13 +399,10 @@ def stratum_tangent_check(point):
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
     of the moment map for the strata to pair to zero.
     """
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in point.jacobian]
+    rows = [_cleared(row) for row in point.jacobian]
     frame = _stratum_frame(point)
-    inside = not any(
-        sum((c * vec[j] for j, c in row if vec[j]), _ZERO)
-        for vec in frame
-        for row in rows
-    )
+    vectors = [_cleared(vec) for vec in frame]
+    inside = all(_dot_vanishes(row, vec) for vec in vectors for row in rows)
     return StratumReport(
         frame_rank=linalg.sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame]),
         inside_kernel=inside,
@@ -452,12 +463,8 @@ def embedding_pullback_check(n):
     return True
 
 
-@dataclass(frozen=True)
-class HilbertRow:
-    degree: int
-    dim_left: int
-    dim_right: int
-    equal: bool
+class HilbertRow(namedtuple("HilbertRow", "degree dim_left dim_right equal")):
+    __slots__ = ()
 
 
 def hilbert_compare(n, dmax):

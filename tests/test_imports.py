@@ -1,6 +1,10 @@
-"""Static checks on the package and test sources."""
+"""Static checks on the package and test sources, and on what importing the
+CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spnil
@@ -93,3 +97,13 @@ def test_no_package_function_or_class_is_left_unused():
 def test_no_test_helper_is_left_unused():
     found = unused_helpers({p.stem: p.read_text() for p in TESTS}, not_a_test)
     assert not found
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every report is a fresh process, so what importing spnil.cli loads is
+    # paid on each run; the records are named tuples and need neither module
+    env = dict(os.environ, PYTHONPATH=str(Path(spnil.__file__).parents[1]))
+    code = "import spnil.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"

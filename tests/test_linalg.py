@@ -188,7 +188,7 @@ def samplers_systems():
     for n in (1, 2, 3):
         for lam in partitions_spn(n):
             pt = sample_xnil_point(lam, seed=0)
-            ad, half = ad_matrix(pt.y, n), positive_weight_space(pt.y)
+            ad, half = ad_matrix(pt.y, n).entries, positive_weight_space(pt.y)
             units = [[fs(int(a == c)) for a in range(2 * n)] for c in range(2 * n)]
             outside = [u for u in units if len(row_basis(half + [u])) > len(half)]
             for vec in [list(pt.i)] + outside:

@@ -241,7 +241,7 @@ def test_square_lemma_on_all_small_types(monkeypatch):
             y = nilpotent_rep(lam)
             calls.clear()
             assert verify_sl2_square_lemma(y, trials=8, seed=11)
-            ad, nn = ad_matrix(y, n), sp_dim(n)
+            ad, nn = ad_matrix(y, n).entries, sp_dim(n)
             (_, base), samples = calls[0], calls[1:]
             assert len(samples) == 16
             for rows, rank in samples:

@@ -36,6 +36,8 @@ from spnil.splie import (
 )
 from spnil.varieties import (
     SchemePoint,
+    _cleared,
+    _dot_vanishes,
     _generic,
     _isotropic,
     _powers,
@@ -388,10 +390,18 @@ def test_flat_isotropy_matches_pairing_oracle():
                        for p in range(len(parts))
                        for q in range(p + 1, len(parts)))
 
+    # the inside-kernel test sums integer parts; FieldScalar sums are the
+    # reference, per Jacobian row and vector and for the whole verdict
+    def dot_oracle(row, vec):
+        return not sum((c * v for c, v in zip(row, vec)), ZERO)
+
+    def dot_ints(row, vec):
+        return _dot_vanishes(_cleared(row), _cleared(vec))
+
     points = [sample_xnil_point(lam, seed=seed)
               for n in (1, 2) for lam in partitions_spn(n) for seed in (0, 1)]
     points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
-    flipped = 0
+    flipped = off_kernel = irrational = 0
     for pt in points:
         n, nn = pt.n, sp_dim(pt.n)
         kernel = nullspace(pt.jacobian)
@@ -407,9 +417,17 @@ def test_flat_isotropy_matches_pairing_oracle():
         # isotropy is a property of the span
         assert _isotropic(row_basis(rescaled), n) is answer
         flipped += answer is False
+        assert stratum_tangent_check(pt).inside_kernel is all(
+            dot_oracle(row, vec) for vec in frame for row in pt.jacobian) is True
+        for vec in frame + rescaled:
+            for row in pt.jacobian:
+                verdict = dot_ints(row, vec)
+                assert verdict is dot_oracle(row, vec)
+                off_kernel += not verdict
+                irrational += any(c.bn for c in vec) and any(c.bn for c in row)
         for edge in ([], kernel[:1], frame[:1]):
             assert _isotropic(edge, n) is oracle(edge, n) is True
-    assert flipped > 0
+    assert flipped > 0 and off_kernel > 0 and irrational > 0
 
 
 def test_trace_form_gives_each_basis_element_one_partner():
@@ -482,7 +500,7 @@ def test_coordinate_systems_reduce_like_the_flat_ones():
             for seed in range(3):
                 pt = sample_xnil_point(lam, seed=seed)
                 ivec = list(pt.i)
-                flat_ad, coord_ad = _ad_flat(pt.y, n), ad_matrix(pt.y, n)
+                flat_ad, coord_ad = _ad_flat(pt.y, n), ad_matrix(pt.y, n).entries
                 # the sampler: [x, y] = -raw_square(i)
                 assert (solution_space(coord_ad, coords_of(raw_square(ivec), n))
                         == solution_space(flat_ad, _flat(-raw_square(ivec))))
@@ -513,8 +531,9 @@ def test_jacobian_moment_rows_are_ad_and_polarization():
         units = [[fs(int(a == c)) for a in range(2 * n)] for c in range(2 * n)]
         polars = [coords_of(raw_square([p + q for p, q in zip(ivec, e)])
                             - raw_square(ivec) - raw_square(e), n) for e in units]
+        ad_y, ad_x = ad_matrix(pt.y, n).entries, ad_matrix(pt.x, n).entries
         want = [tuple([-c for c in row_y] + list(row_x) + [p[r] for p in polars])
-                for r, (row_y, row_x) in enumerate(zip(ad_matrix(pt.y, n), ad_matrix(pt.x, n)))]
+                for r, (row_y, row_x) in enumerate(zip(ad_y, ad_x))]
         assert list(pt.jacobian[:nn]) == want
         polarized += any(any(p) for p in polars)
     assert polarized > 0
