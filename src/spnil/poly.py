@@ -12,9 +12,11 @@ comparisons use graded lexicographic order: compare total degree first, then
 the exponent tuple lexicographically.
 
 The symbolic products that sum many terms (the Weyl product, the polynomial
-trace pairing) run on packed monomial keys and integer coefficients:
-_part_products multiplies the rational and sqrt2 integer parts of two
-operands and _scalars turns the integer sums back into coefficients.
+trace pairing) run on packed monomial keys and integer coefficients.
+_int_parts is the one routine that clears the coefficients of an operand to
+one denominator and splits them into rational and sqrt2 integer parts,
+_part_products multiplies those parts of two operands and _scalars turns the
+integer sums back into coefficients.
 """
 
 import struct
@@ -66,9 +68,25 @@ def _int_pairs(terms):
     return d, [(key, c.an * (d // c.den), c.bn * (d // c.den)) for key, c in terms.items()]
 
 
+def _int_parts(items):
+    """Clear the coefficients c of the (slot, key, c) triples in the list
+    items to one common denominator d: returns d and the rational and sqrt2
+    integer parts, each {slot: [(key, integer)]} over the nonzero integers,
+    in the order of items, with c = (p + q*sqrt2)/d for its parts p and q."""
+    d = lcm(*[c.den for _, _, c in items])
+    rational, root2 = {}, {}
+    for slot, key, c in items:
+        s = d // c.den
+        if c.an:
+            rational.setdefault(slot, []).append((key, c.an * s))
+        if c.bn:
+            root2.setdefault(slot, []).append((key, c.bn * s))
+    return d, (rational, root2)
+
+
 def _part_products(left, right, product):
     """The integer sums of the rational and sqrt2 parts of a product whose
-    operands are given as their (rational, sqrt2) integer parts: with
+    operands are given as their (rational, sqrt2) parts of _int_parts: with
     a = a0 + a1*sqrt2 and b = b0 + b1*sqrt2, ab = (a0 b0 + 2 a1 b1) +
     (a0 b1 + a1 b0)*sqrt2.  product(acc, x, y, factor) adds factor times the
     product of the parts x and y into acc, a dict of ints keyed by packed

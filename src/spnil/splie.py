@@ -8,11 +8,10 @@ B, C symmetric.  The invariant pairing is the trace form Tr(ab).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
 
 from .field import FieldScalar, SQRT2, _scalar
-from .poly import MultiPoly, _add_terms, _pack, _part_products, _scalars, _unpack
+from .poly import MultiPoly, _add_terms, _int_parts, _pack, _part_products, _scalars, _unpack
 from . import linalg
 
 _ZERO = FieldScalar(0)
@@ -71,6 +70,8 @@ class MatF:
 
     @classmethod
     def unit(cls, size, i, j, c=1):
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError("index out of range")
         c = _scalar(c)
         return cls._of(size, {i: {j: c}} if c else {})
 
@@ -223,8 +224,8 @@ def poly_trace_pair(a, b):
     """trace_pair of two matrices whose entries are MultiPolys of one
     registry, on one packed integer accumulator.
 
-    Each matrix is cleared once to a common denominator and split into its
-    rational and sqrt2 parts, each entry packed as a list of (packed
+    _int_parts clears each matrix once to a common denominator and splits it
+    into rational and sqrt2 parts, each entry (i, j) a list of (packed
     exponent, integer), so the products a_ij b_ji of the whole sum add single
     ints per packed key and each coefficient of Tr(ab) is normalised once.
     As in trace_pair, the sum is the scalar 0 when no a_ij meets a b_ji.
@@ -233,8 +234,10 @@ def poly_trace_pair(a, b):
     registries = {v.registry for m in (a, b) for row in m.rows.values() for v in row.values()}
     if len(registries) > 1:
         raise ValueError("registry mismatch")
-    da, left = _packed_parts(a)
-    db, right = _packed_parts(b)
+    (da, left), (db, right) = (
+        _int_parts([((i, j), _pack(e), c) for i, row in m.rows.items()
+                    for j, v in row.items() for e, c in v.terms.items()])
+        for m in (a, b))
     rational, root2 = _part_products(left, right, _trace_product)
     if not (rational or root2):
         return _ZERO
@@ -242,35 +245,18 @@ def poly_trace_pair(a, b):
     return MultiPoly._of(registry, _scalars(rational, root2, da * db, _unpack, len(registry)))
 
 
-def _packed_parts(m):
-    """The MultiPoly entries of m over one common denominator d: d and the
-    rational and sqrt2 parts, each {i: {j: [(packed exponent, integer)]}}
-    over the entries with a nonzero such part."""
-    d = lcm(*[c.den for row in m.rows.values() for v in row.values() for c in v.terms.values()])
-    parts = ({}, {})
-    for i, row in m.rows.items():
-        for j, v in row.items():
-            for e, c in v.terms.items():
-                key, s = _pack(e), d // c.den
-                for part, x in zip(parts, (c.an, c.bn)):
-                    if x:
-                        part.setdefault(i, {}).setdefault(j, []).append((key, x * s))
-    return d, parts
-
-
 def _trace_product(acc, a, b, factor):
-    """Add factor times the trace pairing of two integer parts of
-    _packed_parts into acc, keyed by packed monomials."""
+    """Add factor times the trace pairing of two integer parts of _int_parts,
+    keyed by entry positions (i, j), into acc, keyed by packed monomials."""
     get = acc.get
-    for i, row in a.items():
-        for j, terms in row.items():
-            other = b.get(j, _NO_ROW).get(i)
-            if other:
-                for ka, p in terms:
-                    p *= factor
-                    for kb, q in other:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + p * q
+    for (i, j), terms in a.items():
+        other = b.get((j, i))
+        if other:
+            for ka, p in terms:
+                p *= factor
+                for kb, q in other:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + p * q
     return acc
 
 

@@ -270,6 +270,7 @@ def _trace_form(n):
     over them: the trace-form Gram matrix of sp_basis(n) between the x and y
     parts, and -2 omega on the i part.  Every basis element has exactly one
     nonzero trace partner, so each flat coordinate lies in exactly one entry.
+    The basis matrices have integer entries, so each c is kept as an int.
 
     On tangent triples (a, b, u) the form is Tr(a1 b2) - Tr(a2 b1) - 2
     omega(u1, u2).  The scheme is the zero level of the moment map mu = [x, y]
@@ -283,9 +284,9 @@ def _trace_form(n):
         (k, nn + l, g)
         for k, a in enumerate(basis)
         for l, b in enumerate(basis)
-        if (g := trace_pair(a, b))
+        if (g := trace_pair(a, b).an)
     ]
-    form += [(2 * nn + a, 2 * nn + n + a, FieldScalar(-2)) for a in range(n)]
+    form += [(2 * nn + a, 2 * nn + n + a, -2) for a in range(n)]
     return tuple(form)
 
 
@@ -310,28 +311,30 @@ def _dot_vanishes(u, v):
 
 
 def _isotropic(vectors, n):
-    """True when the form of _trace_form vanishes on every pair of the flat
-    vectors.
+    """True when the form of _trace_form vanishes on every pair of the
+    _cleared flat vectors.
 
     Each vector w is mapped once to its image under that form, the vector
-    with entry c w[q] at p and -c w[p] at q per entry (p, q, c); as each
-    coordinate lies in one entry, nothing is summed.  A pair (v, w) then
-    pairs to the dot product of v with the image of w, with both cleared to
-    integers once.
+    with entry c w[q] at p and -c w[p] at q per entry (p, q, c).  The c are
+    integers, so the image of the integer pairs of w is cleared over the
+    denominator of w, and as each coordinate lies in one entry, nothing is
+    summed.  A pair (v, w) then pairs to the dot product of v with the image
+    of w.
     """
     form = _trace_form(n)
     images = []
     for w in vectors:
-        image = [_ZERO] * len(w)
+        image = {}
         for p, q, c in form:
-            if w[q]:
-                image[p] = c * w[q]
-            if w[p]:
-                image[q] = -(c * w[p])
-        images.append(_cleared(image))
-    cleared = [_cleared(v) for v in vectors]
+            if q in w:
+                s, t = w[q]
+                image[p] = (c * s, c * t)
+            if p in w:
+                s, t = w[p]
+                image[q] = (-c * s, -c * t)
+        images.append(image)
     return all(
-        _dot_vanishes(cleared[a], images[b])
+        _dot_vanishes(vectors[a], images[b])
         for a in range(len(vectors))
         for b in range(a + 1, len(vectors))
     )
@@ -347,7 +350,7 @@ def lagrangian_check(point):
     n = point.n
     jac = point.jacobian
     kernel = linalg.nullspace(jac)
-    isotropic = _isotropic(kernel, n)
+    isotropic = _isotropic([_cleared(v) for v in kernel], n)
     tangent = len(kernel)
     rank = len(jac[0]) - tangent
     return TangentReport(
@@ -393,7 +396,8 @@ def stratum_tangent_check(point):
     canonical half space of y, with [w, y] = -(polarization of raw_square at i
     along u).  Its rank, from sparse_rank, is the stratum dimension.  Lying
     inside the Jacobian's kernel and isotropy are properties of the span, so
-    both are tested on the frame vectors themselves.
+    both are tested on the frame vectors themselves, each cleared once by
+    _cleared for both tests.
 
     Isotropy is tested against the moment-compatible form of _trace_form,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
@@ -406,7 +410,7 @@ def stratum_tangent_check(point):
     return StratumReport(
         frame_rank=linalg.sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame]),
         inside_kernel=inside,
-        isotropic=_isotropic(frame, point.n),
+        isotropic=_isotropic(vectors, point.n),
     )
 
 

@@ -12,10 +12,11 @@ add their key rules and their products to it.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .field import FieldScalar, ONE, HALF
-from .poly import MultiPoly, _Terms, _add_terms, _pack, _part_products, _scalars, _unpack
+from .poly import (MultiPoly, _Terms, _add_terms, _int_parts, _pack, _part_products, _scalars,
+                   _unpack)
 from .splie import MatF, RootDatumC, ad_matrix, bracket, require_sp
 
 _ZERO = FieldScalar(0)
@@ -47,33 +48,19 @@ def _exchange(b, c):
 
 @lru_cache(maxsize=None)
 def _halves(key):
-    """The packs of x^a and of y^b for the term key (a, b), as digits of the
-    2n-digit pack of a + b: a above the n low digits, and b."""
+    """The 2n-digit packs of x^a and of y^b for the term key (a, b), whose sum
+    is the pack of a + b."""
     a, b = key
-    return _pack(a) << 32 * len(a), _pack(b)
-
-
-def _grouped(terms, side):
-    """The coefficients of the terms of a Weyl element cleared to one common
-    denominator d: d and the rational and sqrt2 integer parts, each a dict
-    from the exponent tuple key[side] of a term key to the list of (packed
-    other half, integer) of its terms.  Side 1 groups a left operand by
-    y-exponent, side 0 a right operand by x-exponent."""
-    d = lcm(*[c.den for c in terms.values()])
-    rational, root2 = {}, {}
-    for key, c in terms.items():
-        group, half, s = key[side], _halves(key)[1 - side], d // c.den
-        if c.an:
-            rational.setdefault(group, []).append((half, c.an * s))
-        if c.bn:
-            root2.setdefault(group, []).append((half, c.bn * s))
-    return d, (rational, root2)
+    z = (0,) * len(a)
+    return _pack(a + z), _pack(z + b)
 
 
 def _exchange_product(acc, left, right, factor):
-    """Add factor times the product of two integer parts of _grouped into
-    acc: the left terms x^a y^b with y-exponent b and the right terms x^c y^d
-    with x-exponent c meet through the terms of _exchange(b, c)."""
+    """Add factor times the product of two integer parts of _int_parts into
+    acc.  The left part holds each term x^a y^b as (pack of x^a, integer)
+    under its y-exponent b, the right part each term x^c y^d as (pack of y^d,
+    integer) under its x-exponent c, and the two meet through the terms of
+    _exchange(b, c)."""
     get = acc.get
     for b, lterms in left.items():
         for c, rterms in right.items():
@@ -143,17 +130,18 @@ class WeylElement(_Terms):
         A left term x^a y^b meets a right term x^c y^d only through the
         exchange of y^b past x^c, so the left terms are grouped by b, the
         right ones by c, and _exchange(b, c) is looked up once per pair of
-        groups.  Coefficients are cleared to integers over one denominator
-        per operand and split into rational and sqrt2 parts, and monomials
-        are packed into ints, so each product of parts sums single Python
-        ints per packed key (rational operands make one such product) and
-        each output coefficient is normalised once."""
+        groups.  _int_parts clears the coefficients of each operand to
+        integers over one denominator, split into rational and sqrt2 parts
+        grouped by those exponents, and monomials are packed into ints, so
+        each product of parts sums single Python ints per packed key
+        (rational operands make one such product) and each output
+        coefficient is normalised once."""
         if not isinstance(other, WeylElement):
             c = FieldScalar._coerce(other)
             return NotImplemented if c is None else self.scale(c)
         self._check(other)
-        d1, left = _grouped(self.terms, 1)
-        d2, right = _grouped(other.terms, 0)
+        d1, left = _int_parts([(key[1], _halves(key)[0], c) for key, c in self.terms.items()])
+        d2, right = _int_parts([(key[0], _halves(key)[1], c) for key, c in other.terms.items()])
         rational, root2 = _part_products(left, right, _exchange_product)
         return WeylElement._of(self.n, _scalars(rational, root2, d1 * d2, _monomial, self.n))
 

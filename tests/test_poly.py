@@ -7,7 +7,8 @@ from operator import add
 import pytest
 
 from spnil.field import FieldScalar, ONE, fs
-from spnil.poly import MultiPoly, _add_terms, _pack, _unpack, count_monomials, grlex_key, monomials
+from spnil.poly import (MultiPoly, _add_terms, _int_parts, _pack, _unpack, count_monomials, grlex_key,
+                        monomials)
 
 REG = ("a", "b", "c")
 
@@ -186,3 +187,40 @@ def test_packed_keys_round_trip_order_as_tuples_and_add_as_exponents():
         small = [tuple(rng.randint(0, 9) for _ in range(width)) for _ in range(30)]
         for a, b in zip(small, small[1:]):
             assert _unpack(_pack(a) + _pack(b), width) == tuple(x + y for x, y in zip(a, b))
+
+
+def test_int_parts_clears_each_coefficient_over_one_denominator():
+    items = [
+        ("a", 1, fs(Fraction(1, 2))),
+        ("b", 2, fs(Fraction(-2, 3), Fraction(5, 4))),
+        ("a", 3, fs(0, Fraction(-1, 6))),   # sqrt2 only: lands in root2 only
+        ("a", 4, fs(7)),
+        ("c", 5, fs(Fraction(3, 4), 2)),
+    ]
+    d, (rational, root2) = _int_parts(items)
+    assert d == 12
+    # zero parts are skipped, and terms keep their order within a slot
+    assert rational == {"a": [(1, 6), (4, 84)], "b": [(2, -8)], "c": [(5, 9)]}
+    assert root2 == {"a": [(3, -2)], "b": [(2, 15)], "c": [(5, 24)]}
+    for slot, key, c in items:
+        p = dict(rational.get(slot, [])).get(key, 0)
+        q = dict(root2.get(slot, [])).get(key, 0)
+        assert FieldScalar._raw(p, q, d) == c
+    # random coefficients give back every c
+    rng = random.Random(29)
+    items = [(rng.randrange(3), k, fs(Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                                      Fraction(rng.randint(-9, 9), rng.randint(1, 8))))
+             for k in range(40)]
+    items = [t for t in items if t[2]]
+    d, (rational, root2) = _int_parts(items)
+    assert d > 1
+    for part in (rational, root2):
+        assert all(v for terms in part.values() for _, v in terms)
+        for slot, terms in part.items():
+            keys = [k for k, _ in terms]
+            assert keys == sorted(keys)
+    for slot, key, c in items:
+        p = dict(rational.get(slot, [])).get(key, 0)
+        q = dict(root2.get(slot, [])).get(key, 0)
+        assert FieldScalar._raw(p, q, d) == c
+    assert _int_parts([]) == (1, ({}, {}))

@@ -296,6 +296,15 @@ def stored_terms(m):
             for row in m.rows.values() for v in row.values()]
 
 
+def test_unit_refuses_indices_outside_the_matrix():
+    for i, j in ((2, 0), (0, 2), (5, 0), (0, -1), (-1, 1)):
+        with pytest.raises(ValueError):
+            MatF.unit(2, i, j)
+        with pytest.raises(ValueError):
+            MatF.unit(2, i, j, 0)
+    assert MatF.unit(2, 1, 1).entries == ((0, 0), (0, 1))
+
+
 def test_equal_matrices_by_any_route_compare_and_hash_equal():
     rng = random.Random(509)
     size = 4

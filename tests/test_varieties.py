@@ -9,8 +9,8 @@ import pytest
 
 from fractions import Fraction
 
-from spnil.field import FieldScalar, fs
-from spnil.poly import MultiPoly
+from spnil.field import HALF, FieldScalar, fs
+from spnil.poly import MultiPoly, _int_pairs
 from spnil.linalg import nullspace, row_basis, solution_space, sparse_rank, truncated_ideal_dim
 from spnil.orbits import (
     census,
@@ -371,7 +371,7 @@ def test_stratum_frame_is_half_dimensional_and_isotropic():
                 off_kernel = any(sum((c * v for c, v in zip(row, vec)), ZERO)
                                  for vec in basis for row in jac)
                 assert rep.inside_kernel is not off_kernel
-                assert rep.isotropic is _isotropic(basis, n)
+                assert rep.isotropic is _isotropic([_cleared(v) for v in basis], n)
                 rows = [{j: c for j, c in enumerate(v) if c} for v in frame]
                 irrational += any(c.bn for row in rows for c in row.values())
                 v, w = [vec for vec in frame if any(vec)][:2]
@@ -382,8 +382,12 @@ def test_stratum_frame_is_half_dimensional_and_isotropic():
 
 
 def test_flat_isotropy_matches_pairing_oracle():
-    # _isotropic pairs flat vectors through the Gram matrix of sp_basis;
-    # _pairing over _split rebuilds the matrices and is the reference
+    # _isotropic pairs _cleared flat vectors through the Gram matrix of
+    # sp_basis; _pairing over _split rebuilds the matrices and is the
+    # reference
+    def isotropic(vectors, n):
+        return _isotropic([_cleared(v) for v in vectors], n)
+
     def oracle(vectors, n):
         parts = [_split(v, n) for v in vectors]
         return not any(_pairing(parts[p], parts[q])
@@ -401,33 +405,38 @@ def test_flat_isotropy_matches_pairing_oracle():
     points = [sample_xnil_point(lam, seed=seed)
               for n in (1, 2) for lam in partitions_spn(n) for seed in (0, 1)]
     points += [sample_xnil_point(lam, seed=0) for lam in component_types(3)]
-    flipped = off_kernel = irrational = 0
+    flipped = off_kernel = irrational = fractional = 0
     for pt in points:
         n, nn = pt.n, sp_dim(pt.n)
         kernel = nullspace(pt.jacobian)
         frame = _stratum_frame(pt)
-        assert _isotropic(kernel, n) is oracle(kernel, n) is False
-        assert _isotropic(frame, n) is oracle(frame, n) is True
-        # doubling the i part scales the omega term by four and
-        # leaves the trace terms alone
+        assert isotropic(kernel, n) is oracle(kernel, n) is False
+        assert isotropic(frame, n) is oracle(frame, n) is True
+        # doubling or halving the i part scales the omega term by four or
+        # by a quarter and leaves the trace terms alone
         rescaled = [v[:2 * nn] + [c * 2 for c in v[2 * nn:]]
                     for v in frame]
-        answer = _isotropic(rescaled, n)
-        assert answer is oracle(rescaled, n)
-        # isotropy is a property of the span
-        assert _isotropic(row_basis(rescaled), n) is answer
-        flipped += answer is False
+        halved = [v[:2 * nn] + [c * HALF for c in v[2 * nn:]]
+                  for v in frame]
+        for scaled in (rescaled, halved):
+            answer = isotropic(scaled, n)
+            assert answer is oracle(scaled, n)
+            # isotropy is a property of the span
+            assert isotropic(row_basis(scaled), n) is answer
+            flipped += answer is False
+        fractional += any(_int_pairs({j: c for j, c in enumerate(v) if c})[0] > 1
+                          for v in kernel + frame + halved)
         assert stratum_tangent_check(pt).inside_kernel is all(
             dot_oracle(row, vec) for vec in frame for row in pt.jacobian) is True
-        for vec in frame + rescaled:
+        for vec in frame + rescaled + halved:
             for row in pt.jacobian:
                 verdict = dot_ints(row, vec)
                 assert verdict is dot_oracle(row, vec)
                 off_kernel += not verdict
                 irrational += any(c.bn for c in vec) and any(c.bn for c in row)
         for edge in ([], kernel[:1], frame[:1]):
-            assert _isotropic(edge, n) is oracle(edge, n) is True
-    assert flipped > 0 and off_kernel > 0 and irrational > 0
+            assert isotropic(edge, n) is oracle(edge, n) is True
+    assert flipped > 0 and off_kernel > 0 and irrational > 0 and fractional > 0
 
 
 def test_trace_form_gives_each_basis_element_one_partner():
@@ -437,11 +446,12 @@ def test_trace_form_gives_each_basis_element_one_partner():
         form = _trace_form(n)
         assert sorted(c for p, q, _ in form for c in (p, q)) == list(range(2 * nn + 2 * n))
         for p, q, c in form:
+            assert type(c) is int
             if p < nn:
                 assert nn <= q < 2 * nn
                 assert c == trace_pair(basis[p], basis[q - nn]) != 0
             else:
-                assert (p, q, c) == (p, p + n, fs(-2))
+                assert (p, q, c) == (p, p + n, -2)
         assert sum(p < nn for p, _, _ in form) == nn
         assert _trace_form(n) is form
 
