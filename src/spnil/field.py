@@ -6,8 +6,12 @@ den > 0 and gcd(an, bn, den) = 1, so equality is structural.  A rational
 scalar hashes as the int or Fraction it equals, as it compares equal to it.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
+
+_MODULUS = sys.hash_info.modulus
+_INF = sys.hash_info.inf
 
 
 def _whole(an, bn):
@@ -191,10 +195,19 @@ class FieldScalar:
         return self.an == o.an and self.bn == o.bn and self.den == o.den
 
     def __hash__(self):
-        # a rational scalar hashes as the int or Fraction it equals
-        if self.bn == 0:
-            return hash(self.an) if self.den == 1 else hash(Fraction(self.an, self.den))
-        return hash((self.an, self.bn, self.den))
+        # a rational scalar hashes as the int or Fraction it equals, by
+        # CPython's rational hash written out, with no Fraction built
+        if self.bn:
+            return hash((self.an, self.bn, self.den))
+        an, den = self.an, self.den
+        if den == 1:
+            return hash(an)
+        try:
+            h = hash(abs(an)) * pow(den, -1, _MODULUS) % _MODULUS
+        except ValueError:  # den is a multiple of the modulus
+            h = _INF
+        h = h if an >= 0 else -h
+        return -2 if h == -1 else h
 
     def __str__(self):
         if self.bn == 0:

@@ -314,13 +314,39 @@ def sp_dim(n):
     return 2 * n * n + n
 
 
+class _DualBasis(tuple):
+    """The dual matrices d_k of dual_basis, with their reader: reader[j]
+    maps each column i to (k, d_k[i][j], first), the one coordinate k that
+    reads position (j, i) of a matrix, its weight there, and whether (i, j)
+    is the first stored entry of d_k."""
+
+    def __new__(cls, duals):
+        self = super().__new__(cls, duals)
+        reader = tuple({} for _ in range(duals[0].size))
+        for k, d in enumerate(self):
+            first = True
+            for i, row in d.rows.items():
+                for j, v in row.items():
+                    if i in reader[j]:
+                        raise ValueError("two duals read one position")
+                    reader[j][i] = (k, v, first)
+                    first = False
+        self.reader = reader
+        return self
+
+
 @lru_cache(maxsize=None)
 def dual_basis(n):
-    """Trace-form dual basis: trace_pair(dual[k], sp_basis[l]) = delta_kl."""
+    """Trace-form dual basis: trace_pair(dual[k], sp_basis[l]) = delta_kl.
+
+    The duals are the rows of the inverse Gram matrix, each with one or two
+    entries, on supports that partition the (2n)^2 positions; the value is
+    that tuple, which also keeps the reader coords_of walks (_DualBasis).
+    """
     basis = sp_basis(n)
     gram = [[trace_pair(a, b) for b in basis] for a in basis]
     ginv = linalg.inverse(gram)
-    return tuple(mat_from_coords(row, n) for row in ginv)
+    return _DualBasis([mat_from_coords(row, n) for row in ginv])
 
 
 def coords_of(m, n):
@@ -329,23 +355,23 @@ def coords_of(m, n):
 
     m is any square matrix of size 2n, with exact scalar or MultiPoly
     entries; off sp(2n) this is the projection along the trace-orthogonal
-    complement.  Each d_k has one or two nonzero entries, so coordinate k
-    reads one or two entries of m, off the rows of its transpose.
+    complement.  The dual supports partition the positions, so each stored
+    entry m[j][i] is read once, into coordinate k with weight d_k[i][j]; a
+    coordinate that reads two entries sums them in the order of d_k, as
+    trace_pair(d_k, m) does, and one that reads none is 0.
     """
     if m.size != 2 * n:
         raise ValueError("size mismatch")
-    cols = m.transpose().rows
-    out = []
-    for d in dual_basis(n):
-        total = _ZERO
-        for i, row in d.rows.items():
-            if i in cols:
-                col = cols[i]
-                for j, v in row.items():
-                    if j in col:
-                        total = total + v * col[j]
-        out.append(total)
-    return out
+    reader = dual_basis(n).reader
+    out = [None] * sp_dim(n)
+    for j, row in m.rows.items():
+        read = reader[j]
+        for i, x in row.items():
+            k, v, first = read[i]
+            p = v * x
+            q = out[k]
+            out[k] = p if q is None else p + q if first else q + p
+    return [_ZERO if c is None else c for c in out]
 
 
 def mat_from_coords(coeffs, n):
@@ -355,7 +381,10 @@ def mat_from_coords(coeffs, n):
     The supports of the basis elements partition the (2n)^2 positions, so
     each nonzero c_k is placed on the support of its element as c_k or -c_k,
     by the sign of the +-1 found there, and nothing is summed or multiplied.
+    coeffs must hold exactly sp_dim(n) coordinates.
     """
+    if len(coeffs) != sp_dim(n):
+        raise ValueError(f"expected {sp_dim(n)} coordinates, got {len(coeffs)}")
     entries = {}
     for c, b in zip(coeffs, sp_basis(n)):
         if c:

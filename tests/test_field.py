@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(sqrt2): normalization, operators, rendering."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,21 @@ def test_rational_scalars_hash_as_the_numbers_they_equal():
     # an irrational scalar equals no rational, and its hash stays structural
     assert hash(fs(1, 1)) == hash((1, 1, 1))
     assert fs(Fraction(1, 2), 3) != Fraction(1, 2)
+
+
+def test_rational_hash_is_the_fraction_hash_without_a_fraction():
+    modulus = sys.hash_info.modulus
+    rng = random.Random(31)
+    cases = [(p, q) for p in range(-50, 51) for q in range(2, 60)]
+    cases += [(rng.randint(-10 ** 40, 10 ** 40), rng.randint(2, 10 ** 40)) for _ in range(2000)]
+    # no inverse modulo the modulus: the hash is +-inf
+    cases += [(p, modulus * k) for p in (1, -1, 7, -3, modulus + 2) for k in (1, 2, 5)]
+    # -1/(modulus + 1) hashes as -1, which CPython reserves, so as -2
+    cases.append((-1, modulus + 1))
+    for p, q in cases:
+        assert hash(FieldScalar(Fraction(p, q))) == hash(Fraction(p, q)), (p, q)
+    assert abs(hash(FieldScalar(Fraction(1, modulus)))) == sys.hash_info.inf
+    assert hash(FieldScalar(Fraction(-1, modulus + 1))) == -2
 
 
 def test_floats_are_refused():

@@ -125,7 +125,7 @@ def diagonal_h_system(e):
     cols += [zero + _flat(-bracket(e, b)) for b in basis]
     sol = linalg.solution_space(list(zip(*cols)), _flat(e.scale(2)) + zero)[0]
     assert sol is not None
-    return mat_from_coords(sol[:n], n)
+    return mat_from_coords(list(sol[:n]) + [ZERO] * (sp_dim(n) - n), n)
 
 
 def full_f_system(e, h):

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from spnil.field import FieldScalar, ONE, SQRT2, fs
-from spnil.linalg import row_basis
+from spnil.linalg import inverse, row_basis
 from spnil.orbits import nilpotent_rep, partitions_spn
 from spnil.poly import MultiPoly
 from spnil.splie import (
     MatF,
     RootDatumC,
+    _DualBasis,
     ad_matrix,
     bracket,
     centralizer_dim,
@@ -177,18 +178,84 @@ def test_ad_matrix_and_coords_of_match_the_trace_oracle():
             m = MatF([[rand_scalar(rng) for _ in range(size)] for _ in range(size)])
             assert not is_sp(m)
             assert coords_of(m, n) == coords_oracle(m, n)
+        # elements of sp(2n), the zero matrix, and a sparse support, on which
+        # some coordinates read one of their two entries or none
+        sparse = MatF([[rand_scalar(rng) if rng.random() < 0.5 else 0 for _ in range(size)]
+                       for _ in range(size)])
+        for m in ys + [MatF.zero(size), sparse]:
+            assert coords_of(m, n) == coords_oracle(m, n)
+        assert coords_of(MatF.zero(size), n) == [ZERO] * sp_dim(n)
+
+
+def generic_poly_matrix(rng, size):
+    """A matrix of polynomials in size^2 + 1 variables: entry (i, j) is its
+    own variable plus a multiple of one shared variable, so summing two
+    entries in the other order lists their terms in the other order."""
+    registry = tuple(f"m{k}" for k in range(size * size + 1))
+    shared = MultiPoly.variable(registry, size * size)
+    return MatF._of(size, {i: {j: MultiPoly.variable(registry, i * size + j)
+                               + shared.scale(fs(rng.randint(1, 3)))
+                               for j in range(size)}
+                           for i in range(size)})
 
 
 def test_coords_of_matches_the_trace_oracle_on_polynomial_entries():
+    # the coordinates keep the oracle's terms in its order, which sums the
+    # two entries a dual reads in the dual's order
+    rng = random.Random(530)
+    ms = [(n, generic_poly_matrix(rng, 2 * n)) for n in range(1, 5)]
     for n in (1, 2):
         nn = sp_dim(n)
         registry = full_registry(n)
         point = SchemePoint(n, _generic(registry, 0, n), _generic(registry, nn, n),
                             [MultiPoly.variable(registry, 2 * nn + a) for a in range(2 * n)])
-        m = moment2(point)
-        got = coords_of(m, n)
+        ms.append((n, moment2(point)))
+    for n, m in ms:
+        got, want = coords_of(m, n), coords_oracle(m, n)
         assert any(isinstance(c, MultiPoly) for c in got)
-        assert got == coords_oracle(m, n)
+        assert got == want
+        assert [list(c.terms.items()) for c in got] == [list(c.terms.items()) for c in want]
+
+
+def generic_poly_matrix(rng, size):
+    """A matrix of polynomials in size^2 + 1 variables: entry (i, j) is its
+    own variable plus a multiple of one shared variable, so summing two
+    entries in the other order lists their terms in the other order."""
+    registry = tuple(f"m{k}" for k in range(size * size + 1))
+    shared = MultiPoly.variable(registry, size * size)
+    return MatF._of(size, {i: {j: MultiPoly.variable(registry, i * size + j)
+                               + shared.scale(fs(rng.randint(1, 3)))
+                               for j in range(size)}
+                           for i in range(size)})
+
+
+def test_dual_basis_is_the_gram_inverse_with_one_reader_per_position():
+    for n in range(1, 5):
+        basis, size = sp_basis(n), 2 * n
+        dual = dual_basis(n)
+        ginv = inverse([[trace_pair(a, b) for b in basis] for a in basis])
+        assert isinstance(dual, tuple) and len(dual) == len(ginv)
+        for d, row in zip(dual, ginv):
+            assert type(d) is MatF and d == mat_from_coords(row, n)
+        # the reader holds each position read by a dual once, with its weight
+        read = [(j, i, entry) for j, cols in enumerate(dual.reader)
+                for i, entry in cols.items()]
+        assert len({(j, i) for j, i, _ in read}) == len(read) == size * size
+        assert len(read) == sum(len(row) for d in dual for row in d.rows.values())
+        leads = {(k, a, next(iter(row))) for k, d in enumerate(dual)
+                 for a, row in list(d.rows.items())[:1]}
+        for j, i, (k, v, first) in read:
+            assert dual[k][i, j] == v
+            assert first == ((k, i, j) in leads)
+    with pytest.raises(ValueError, match="two duals read one position"):
+        _DualBasis([MatF.unit(2, 0, 1), MatF.unit(2, 0, 1) + MatF.unit(2, 1, 1)])
+
+
+def test_mat_from_coords_refuses_a_vector_other_than_sp_dim():
+    for n, coeffs in ((2, [1, 2]), (2, [1] * 39), (1, []), (1, [1] * 4), (3, [0] * 20)):
+        with pytest.raises(ValueError, match="coordinates"):
+            mat_from_coords(coeffs, n)
+    assert mat_from_coords([0] * 2 + [1], 1) == MatF.unit(2, 1, 0)
 
 
 def test_coords_of_and_ad_matrix_refuse_a_size_other_than_2n():
