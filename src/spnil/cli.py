@@ -72,9 +72,9 @@ from .cherednik import (
 # keep pure-Python runtimes sane; everything else follows the global n <= 4
 _SUITE_CAP = {"theta1-hom": 3, "theta0-hom": 2, "minors": 3, "lagrangian": 2, "embedding": 3}
 
-# verify lagrangian -n 2 costs about 3 ms per sampled point, so 1.13 to 1.57 s
-# at 100 trials over its four Jordan types (three runs, shared 2-vCPU Intel
-# Xeon host); at -n 4 and 100 trials it takes 30 to 38 s (two runs, same host)
+# verify lagrangian -n 2 costs about 2 ms per sampled point, so 0.66 to 0.78 s
+# at 100 trials over its four Jordan types (five runs, shared 2-vCPU Intel
+# Xeon host); at -n 4 and 100 trials it takes 13 to 21 s (three runs, same host)
 MAX_TRIALS = 100
 
 

@@ -13,17 +13,20 @@ rank that an extra right-hand-side column leaves unchanged.  sparse_rank runs
 on integers only: each row is cleared to one denominator and reduced with gcd
 normalization, which keeps coefficient growth tame without changing any rank.
 A row with a sqrt2 part is split into its rational and sqrt2 parts, beside
-its sqrt2 multiple.
+its sqrt2 multiple.  modular_rank reduces integer rows over Z[sqrt2] modulo a
+prime: a lower bound for the rank, which the stratum frame's rank meets with
+an upper bound from isotropy (varieties._frame_rank).
 """
 
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .field import FieldScalar
+from .field import FieldScalar, _whole
 from .poly import _int_pairs, _pack, _unpack
 
 _ZERO = FieldScalar(0)
 _ONE = FieldScalar(1)
+_raw = FieldScalar._raw
 
 
 # -- dense ----------------------------------------------------------------
@@ -37,7 +40,9 @@ def _rref(a, cols):
     column pivots[r], which is 0 in every other row; the rows past the pivots
     are zero in the first cols columns.  The pivot row is zero left of its
     pivot, so only its nonzero entries from there on are scaled and
-    subtracted from the other rows.
+    subtracted from the other rows.  Those entries are split once into their
+    integer triples, and each update row[j] - c*v is formed on integers as
+    one canonical scalar, the one the two operators would build.
     """
     rows = len(a)
     width = len(a[0]) if rows else 0
@@ -52,15 +57,27 @@ def _rref(a, cols):
         a[rank], a[piv] = a[piv], a[rank]
         prow = a[rank]
         inv = prow[col].inverse()
-        support = [(j, prow[j] * inv) for j in range(col, width) if prow[j]]
-        for j, v in support:
-            prow[j] = v
+        support = []
+        for j in range(col, width):
+            if prow[j]:
+                v = prow[j] = prow[j] * inv
+                support.append((j, v.an, v.bn, v.den))
         for r in range(rows):
             row = a[r]
             c = row[col]
             if r != rank and c:
-                for j, v in support:
-                    row[j] = row[j] - c * v
+                ca, cb, cd = c.an, c.bn, c.den
+                for j, va, vb, vd in support:
+                    # c*v = (pa + pb*sqrt2)/pd, subtracted from x on integers
+                    pa = ca * va + 2 * cb * vb
+                    pb = ca * vb + cb * va
+                    pd = cd * vd
+                    x = row[j]
+                    xd = x.den
+                    if xd == 1 and pd == 1:
+                        row[j] = _whole(x.an - pa, x.bn - pb)
+                    else:
+                        row[j] = _raw(x.an * pd - pa * xd, x.bn * pd - pb * xd, xd * pd)
         pivots.append(col)
     return pivots
 
@@ -104,8 +121,11 @@ def solution_space(mat, rhs):
     x solves the system exactly when (-x, 1) lies in that kernel.  When the
     system is consistent the rhs column is free, and its kernel vector is
     (-x, 1) for the solution x with free variables zero; the kernel vectors
-    ending in 0 are those of mat, in the same order.
+    ending in 0 are those of mat, in the same order.  rhs must hold one entry
+    per row of mat, or ValueError is raised.
     """
+    if len(rhs) != len(mat):
+        raise ValueError(f"expected {len(mat)} right-hand sides, got {len(rhs)}")
     if not mat:
         return [], []
     kernel = nullspace([list(row) + [r] for row, r in zip(mat, rhs)])
@@ -182,6 +202,45 @@ def sparse_rank(rows):
     if any(c.bn for row in rows for c in row.values()):
         return _int_rank(_split(rows)) // 2
     return _int_rank({key: p for key, p, _ in _int_pairs(row)[1]} for row in rows)
+
+
+# -- modulo a prime ------------------------------------------------------
+
+_P = (1 << 61) - 1
+_ROOT2 = 1 << 31  # (2^31)^2 = 2^62 = 2 modulo _P
+
+
+def modular_rank(rows, width, stop):
+    """Rank modulo the prime p = 2^61 - 1 of rows over Z[sqrt2], each a dict
+    {column: (a, b)} for the entry a + b*sqrt2, columns in range(width);
+    counting ends once the rank reaches stop.
+
+    a + b*sqrt2 -> a + b*2^31 is a ring map from Z[sqrt2] to F_p, as 2^31
+    squares to 2 modulo p.  A minor that is nonzero modulo p is therefore
+    nonzero, so the result is at most the rank over Q(sqrt2): a proven lower
+    bound, never an upper one.  Each row is made dense and reduced against the
+    pivot rows in the order they were found, at their nonzero entries only;
+    the entries are reduced modulo p when a coefficient is read and once per
+    row after it.
+    """
+    pivots = []
+    for entries in rows:
+        if len(pivots) >= stop:
+            break
+        row = [0] * width
+        for j, (a, b) in entries.items():
+            row[j] = a + b * _ROOT2
+        for col, support in pivots:
+            c = row[col] % _P
+            if c:
+                for j, v in support:
+                    row[j] -= c * v
+        lead = next((j for j, x in enumerate(row) if x % _P), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, _P)
+            pivots.append((lead, [(j, x * inv % _P) for j, x in enumerate(row[lead:], lead)
+                                  if x % _P]))
+    return len(pivots)
 
 
 def _packed_monomials(nvars, degree):

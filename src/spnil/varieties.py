@@ -340,24 +340,33 @@ def _isotropic(vectors, n):
     )
 
 
+def _half_dim(n):
+    """2n^2 + 2n, half the 4n^2 + 4n flat (x, y, i) coordinates: the
+    dimension of a Lagrangian subspace.  The form of _trace_form pairs each
+    coordinate with exactly one partner, with a nonzero coefficient, so it is
+    nondegenerate and no isotropic span is larger."""
+    return 2 * n * n + 2 * n
+
+
 def lagrangian_check(point):
     """Exact tangent data of the nilpotent subscheme at a sampled point.
 
     The Jacobian of I plus NIL, its rank, the dimension of its kernel (the
     Zariski tangent space) and whether the moment-compatible form of
-    _trace_form vanishes on that kernel.
+    _trace_form vanishes on that kernel.  A kernel of dimension above
+    2n^2 + 2n cannot be isotropic (_half_dim), so that verdict is a dimension
+    count and the pairs are tested only on a smaller kernel.
     """
     n = point.n
     jac = point.jacobian
     kernel = linalg.nullspace(jac)
-    isotropic = _isotropic([_cleared(v) for v in kernel], n)
     tangent = len(kernel)
     rank = len(jac[0]) - tangent
     return TangentReport(
         jacobian_rank=rank,
         tangent_dim=tangent,
-        isotropic=isotropic,
-        smooth=(rank == 2 * n * n + 2 * n),
+        isotropic=tangent <= _half_dim(n) and _isotropic([_cleared(v) for v in kernel], n),
+        smooth=(rank == _half_dim(n)),
     )
 
 
@@ -394,10 +403,10 @@ def stratum_tangent_check(point):
     conjugation directions ([a,x], [a,y], a i) over the sp basis, centralizer
     shifts (z, 0, 0) with [z, y] = 0 and vector moves (w, 0, u) for u in the
     canonical half space of y, with [w, y] = -(polarization of raw_square at i
-    along u).  Its rank, from sparse_rank, is the stratum dimension.  Lying
+    along u).  Its rank, from _frame_rank, is the stratum dimension.  Lying
     inside the Jacobian's kernel and isotropy are properties of the span, so
     both are tested on the frame vectors themselves, each cleared once by
-    _cleared for both tests.
+    _cleared for the two tests and the rank.
 
     Isotropy is tested against the moment-compatible form of _trace_form,
     Tr(a1 b2) - Tr(a2 b1) - 2 omega(u1, u2); the form must carry the scaling
@@ -407,11 +416,28 @@ def stratum_tangent_check(point):
     frame = _stratum_frame(point)
     vectors = [_cleared(vec) for vec in frame]
     inside = all(_dot_vanishes(row, vec) for vec in vectors for row in rows)
+    isotropic = _isotropic(vectors, point.n)
     return StratumReport(
-        frame_rank=linalg.sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame]),
+        frame_rank=_frame_rank(frame, vectors, isotropic, point.n),
         inside_kernel=inside,
-        isotropic=_isotropic(vectors, point.n),
+        isotropic=isotropic,
     )
+
+
+def _frame_rank(frame, vectors, isotropic, n):
+    """Exact rank of the flat frame, given its _cleared vectors and whether
+    they are isotropic.
+
+    An isotropic span has dimension at most 2n^2 + 2n (_half_dim), and the
+    rank modulo a prime of the cleared vectors, each a nonzero multiple of its
+    frame vector, is at most the rank.  When the frame is isotropic and
+    modular_rank reaches 2n^2 + 2n, the two bounds meet and that is the rank.
+    In every other case sparse_rank eliminates the frame exactly.
+    """
+    half = _half_dim(n)
+    if isotropic and linalg.modular_rank(vectors, 2 * half, half) == half:
+        return half
+    return linalg.sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame])
 
 
 def _stratum_frame(point):

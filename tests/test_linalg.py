@@ -10,6 +10,7 @@ from spnil.linalg import (
     _packed_monomials,
     _rref,
     inverse,
+    modular_rank,
     nullspace,
     row_basis,
     solution_space,
@@ -17,7 +18,7 @@ from spnil.linalg import (
     truncated_ideal_dim,
 )
 from spnil.orbits import nilpotent_rep, partitions_spn
-from spnil.poly import MultiPoly, _unpack, count_monomials, monomials
+from spnil.poly import MultiPoly, _int_pairs, _unpack, count_monomials, monomials
 from spnil.splie import ad_matrix, bracket, coords_of, raw_square, sp_basis, sp_dim
 from spnil.varieties import ideal_generators, positive_weight_space, sample_xnil_point
 
@@ -158,6 +159,9 @@ def test_rref_matches_the_full_row_reference():
             extra = rand_mat(rng, len(ad), 2, with_root=True)
             cases.append((ad, len(ad[0])))
             cases.append(([row + more for row, more in zip(ad, extra)], len(ad[0])))
+            # the Jacobians that lagrangian_check reduces, sqrt2 entries included
+            jac = [list(row) for row in sample_xnil_point(lam, seed=0).jacobian]
+            cases.append((jac, len(jac[0])))
     partial = 0
     for a, cols in cases:
         want, got = [list(row) for row in a], [list(row) for row in a]
@@ -215,6 +219,16 @@ def test_solution_space_is_solve_and_nullspace():
         assert solution_space(a, b) == (sol, nullspace(a))
         verdicts.add((own, sol is not None))
     assert verdicts == {(True, True), (False, False)}
+
+
+def test_solution_space_refuses_a_right_hand_side_of_another_length():
+    # zip used to drop the second equation of the first system and the 5
+    # of the second, and to answer [1] for both
+    for mat, rhs in (([[fs(1)], [fs(1)]], [fs(1)]), ([[fs(1)]], [fs(1), fs(5)]),
+                     ([], [fs(1)])):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solution_space(mat, rhs)
+    assert solution_space([[fs(1)], [fs(1)]], [fs(1), fs(5)])[0] is None
 
 
 def test_row_basis_is_reduced_echelon_and_spans_the_rows():
@@ -319,6 +333,28 @@ def test_sparse_rank_agrees_with_dense():
     reg = ("a", "b")
     a, b = (MultiPoly.variable(reg, i) for i in (0, 1))
     assert truncated_ideal_dim([a + b.scale(SQRT2), a.scale(SQRT2) + b.scale(2)], 1) == 1
+
+
+def test_modular_rank_is_a_lower_bound_and_stops_at_stop():
+    p = (1 << 61) - 1
+
+    def int_rows(a):
+        return [{j: (x, y) for j, x, y in _int_pairs({j: v for j, v in enumerate(row) if v})[1]}
+                for row in a]
+
+    # on these matrices p divides no minor, so the bound is the rank
+    for seed in (411, 414, 419):
+        for a in shaped_matrices(seed):
+            rank = len(row_basis(a))
+            assert modular_rank(int_rows(a), len(a[0]), len(a)) == rank
+            assert modular_rank(int_rows(a), len(a[0]), 1) == min(rank, 1)
+    assert modular_rank([], 3, 0) == 0
+    # sqrt2 goes to 2^31: (a + b sqrt2) and its sqrt2 multiple (2b + a sqrt2)
+    # are dependent, and a row with entry p, or p sqrt2, is lost modulo p
+    rows = [{0: (3, 1), 2: (0, 5)}, {0: (2, 3), 2: (10, 0)}]
+    assert modular_rank(rows, 3, 2) == 1 == sparse_rank(
+        [{j: fs(a, b) for j, (a, b) in row.items()} for row in rows])
+    assert modular_rank([{1: (p, 0)}, {0: (0, 2 * p)}], 2, 2) == 0 < sparse_rank([{1: fs(p)}])
 
 
 def test_truncated_ideal_dim_principal_ideal():

@@ -4,6 +4,7 @@ the half-dimensional stratum frame, the linear embedding, Hilbert rows."""
 import functools
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,15 @@ from fractions import Fraction
 
 from spnil.field import HALF, FieldScalar, fs
 from spnil.poly import MultiPoly, _int_pairs
-from spnil.linalg import nullspace, row_basis, solution_space, sparse_rank, truncated_ideal_dim
+from spnil import linalg
+from spnil.linalg import (
+    modular_rank,
+    nullspace,
+    row_basis,
+    solution_space,
+    sparse_rank,
+    truncated_ideal_dim,
+)
 from spnil.orbits import (
     census,
     component_types,
@@ -38,6 +47,7 @@ from spnil.varieties import (
     SchemePoint,
     _cleared,
     _dot_vanishes,
+    _frame_rank,
     _generic,
     _isotropic,
     _powers,
@@ -379,6 +389,79 @@ def test_stratum_frame_is_half_dimensional_and_isotropic():
                               [fs(1, 1) * a + fs(Fraction(-1, 3), 2) * b for a, b in zip(v, w)]):
                     assert sparse_rank(rows + [{j: c for j, c in enumerate(extra) if c}]) == len(basis)
     assert irrational
+
+
+def test_frame_rank_is_certified_modulo_p_or_eliminated(monkeypatch):
+    # the rank mod p of the cleared frame against sparse_rank, the oracle;
+    # the certificate needs isotropy and a rank mod p of 2n^2 + 2n, which
+    # only the component types reach, and everything else falls back
+    calls = []
+    monkeypatch.setattr(linalg, "sparse_rank", lambda rows: calls.append(rows) or sparse_rank(rows))
+    cases = [(n, lam, seed) for n in (1, 2, 3) for lam in partitions_spn(n) for seed in (0, 1)]
+    cases += [(4, lam, 0) for lam in component_types(4)]
+    below = 0
+    for n, lam, seed in cases:
+        pt = sample_xnil_point(lam, seed=seed)
+        half = 2 * n * n + 2 * n
+        frame = _stratum_frame(pt)
+        vectors = [_cleared(v) for v in frame]
+        exact = sparse_rank([{j: c for j, c in enumerate(v) if c} for v in frame])
+        assert modular_rank(vectors, 2 * half, len(vectors)) == exact
+        below += exact < half
+        component = lam in component_types(n)
+        assert (exact == half) is component
+        calls.clear()
+        assert stratum_tangent_check(pt).frame_rank == exact
+        assert len(calls) == (not component)
+    assert 0 < below < len(cases)
+    # the Jacobian's kernel is not isotropic, and a frame scaled by p is 0
+    # modulo p: both are eliminated, and keep their exact rank
+    p = (1 << 61) - 1
+    pt = sample_xnil_point((2, 2), seed=0)
+    kernel, frame = nullspace(pt.jacobian), _stratum_frame(pt)
+    scaled = [[c * p for c in v] for v in frame]
+    for vecs, rank in ((kernel, len(kernel)), (scaled, 12)):
+        cleared = [_cleared(v) for v in vecs]
+        isotropic = _isotropic(cleared, 2)
+        assert isotropic is (vecs is scaled)
+        calls.clear()
+        assert _frame_rank(vecs, cleared, isotropic, 2) == rank
+        assert len(calls) == 1
+    assert modular_rank([_cleared(v) for v in scaled], 24, 12) == 0
+
+
+def test_lagrangian_verdict_is_a_dimension_count_above_half(monkeypatch):
+    # a kernel above 2n^2 + 2n is never isotropic, so the pairs are not
+    # tested; the verdict is the one _isotropic gives on the kernel
+    import spnil.varieties as varieties
+
+    calls = []
+    monkeypatch.setattr(varieties, "_isotropic",
+                        lambda vectors, n: calls.append(n) or _isotropic(vectors, n))
+    for n in (1, 2):
+        for lam in partitions_spn(n):
+            for seed in (0, 1):
+                pt = sample_xnil_point(lam, seed=seed)
+                kernel = [_cleared(v) for v in nullspace(pt.jacobian)]
+                calls.clear()
+                rep = lagrangian_check(pt)
+                assert rep.isotropic is _isotropic(kernel, n) is False
+                assert rep.tangent_dim > 2 * n * n + 2 * n and not calls
+    # a stand-in point whose Jacobian is the form applied to a Lagrangian
+    # frame has that frame as its kernel: 2n^2 + 2n, so the pairs are tested
+    for n in (1, 2):
+        for lam in component_types(n):
+            frame = row_basis(_stratum_frame(sample_xnil_point(lam, seed=0)))
+            rows = []
+            for f in frame:
+                row = [ZERO] * (4 * n * n + 4 * n)
+                for p, q, c in _trace_form(n):
+                    row[q], row[p] = f[p] * c, f[q] * -c
+                rows.append(row)
+            calls.clear()
+            rep = lagrangian_check(SimpleNamespace(n=n, jacobian=rows))
+            assert rep.tangent_dim == 2 * n * n + 2 * n == len(frame)
+            assert rep.isotropic is True and calls == [n]
 
 
 def test_flat_isotropy_matches_pairing_oracle():
